@@ -42,12 +42,10 @@ from .generators import (GraphInstance, SetCoverInstance, bench_hr_instance,
                          reduce_set_cover, reduce_vertex_cover)
 from .hr import gale_shapley_a_optimal, unmatched_agents
 from .minmax import build_quota_instance, feasible_at, solve_minmax
-from .minsum import (IsolatedAgent, build_tuple_subgraph,
-                     distinct_costs_per_agent, prune, solve_minsum_exact)
-from .model import (HrInstance, Matching, PrunedGraph, SmfqInstance,
-                    SolveReport, StabilityCheck, is_a_perfect, is_envy_free,
-                    is_hr_stable, max_cost, top_choice_matching, total_cost,
-                    validate)
+from .minsum import distinct_costs_per_agent, prune, solve_minsum_exact
+from .model import (HrInstance, Matching, SmfqInstance, SolveReport,
+                    StabilityCheck, is_a_perfect, is_envy_free, is_hr_stable,
+                    max_cost, top_choice_matching, total_cost, validate)
 from .oracle import (enumerate_a_perfect_stable, enumerate_hr_stable,
                      oracle_minmax, oracle_minsum)
 
@@ -63,14 +61,12 @@ __all__ = [
     "FlexqError",
     "GraphInstance",
     "HrInstance",
-    "IsolatedAgent",
     "Matching",
     "MinCostChoice",
     "NegativeCost",
     "NonMutualEdge",
     "NotStable",
     "ParseError",
-    "PrunedGraph",
     "QuotaViolated",
     "SetCoverInstance",
     "SmfqInstance",
@@ -85,7 +81,6 @@ __all__ = [
     "bench_hr_instance",
     "bench_instance",
     "build_quota_instance",
-    "build_tuple_subgraph",
     "compute_extendable",
     "distinct_costs_per_agent",
     "enumerate_a_perfect_stable",

@@ -22,11 +22,10 @@ from .model import Matching, SmfqInstance, SolveReport, total_cost
 @dataclass
 class MinCostChoice:
     """Each agent's cheapest program (ties to the most preferred), plus the
-    longest list length on either side."""
+    longest program list."""
 
     p_star: dict[str, str]
     ell_p: int
-    ell_a: int
 
 
 def min_cost_program(instance: SmfqInstance, agent: str) -> str:
@@ -44,7 +43,6 @@ def min_cost_choice(instance: SmfqInstance) -> MinCostChoice:
     return MinCostChoice(
         p_star={a: min_cost_program(instance, a) for a in instance.agents},
         ell_p=max((len(instance.program_pref[p]) for p in instance.programs), default=0),
-        ell_a=max((len(instance.agent_pref[a]) for a in instance.agents), default=0),
     )
 
 
@@ -81,13 +79,13 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
                 continue  # nobody currently at p is worse than a
             if not instance.agent_prefers(a, p, match[a]):
                 continue
-            assert instance.agent_rank(a, p) < instance.agent_rank(a, match[a])
             roster[match[a]].discard(a)
             members.add(a)  # joins above the current worst, so worst stands
             match[a] = p
 
     occupied = {p for p, members in roster.items() if members}
-    assert occupied <= set(choice.p_star.values())
+    if not occupied <= set(choice.p_star.values()):
+        raise AssertionError("promotion occupied a program no agent chose as its cheapest")
     m = Matching({a: match[a] for a in instance.agents})
     return SolveReport(m, total_cost(instance, m), "total_cost", "promote", certified_optimal=False)
 

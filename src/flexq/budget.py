@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import BudgetExceeded
+
 DEFAULT_BUDGET = 10_000_000
 ENV_VAR = "FLEXQ_BUDGET"
 
@@ -24,3 +26,11 @@ def resolve_budget(budget: int | None = None) -> int:
         except ValueError:
             raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     return DEFAULT_BUDGET
+
+
+def check_budget(count: int, budget: int | None, force: bool, what: str) -> None:
+    """Raise :class:`BudgetExceeded` when ``count`` candidates (``what``, e.g.
+    "cost tuples") top the effective budget, unless ``force`` is set."""
+    limit = resolve_budget(budget)
+    if count > limit and not force:
+        raise BudgetExceeded(f"{count} {what} exceed the budget of {limit}")

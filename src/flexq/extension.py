@@ -23,7 +23,6 @@ from .minsum import solve_minsum_exact
 from .model import (
     HrInstance,
     Matching,
-    PrunedGraph,
     SmfqInstance,
     is_hr_stable,
     validate,
@@ -33,13 +32,17 @@ from .hr import unmatched_agents
 
 @dataclass
 class ExtensionContext:
-    """Everything round two needs: the pruned extension graph and who can use it."""
+    """Everything round two needs: the pruned extension graph and who can use it.
+
+    ``g_m[a]`` lists, in a's preference order, the programs unmatched agent
+    a may still join without creating envy.
+    """
 
     round1: HrInstance
     m1: Matching
     a_u: list[str]
     barriers: dict[str, str | None]
-    g_m: PrunedGraph
+    g_m: dict[str, list[str]]
     a_u_matchable: list[str]
 
     @property
@@ -99,13 +102,12 @@ def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
                 continue  # below the barrier: joining p would make b envious
             keep.append(p)
         adj[a] = keep
-    g_m = PrunedGraph(adj)
     return ExtensionContext(
         round1=round1,
         m1=m1,
         a_u=a_u,
         barriers=barriers,
-        g_m=g_m,
+        g_m=adj,
         a_u_matchable=[a for a in a_u if adj[a]],
     )
 
@@ -125,7 +127,7 @@ def _merge(ctx: ExtensionContext, extra: dict[str, str]) -> Matching:
 
 def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInstance:
     """The extension graph as a standalone cost market for the round-two solvers."""
-    adj = ctx.g_m.adj
+    adj = ctx.g_m
     agents = list(ctx.a_u_matchable)
     onlist = {a: set(adj[a]) for a in agents}
     programs = [p for p in ctx.round1.programs if any(p in onlist[a] for a in agents)]
@@ -149,7 +151,7 @@ def largest_extension(ctx: ExtensionContext) -> Extension:
     This extends the matching to the full matchable set; no stable extension
     can match an agent outside it.
     """
-    extra = {a: ctx.g_m.adj[a][0] for a in ctx.a_u_matchable}
+    extra = {a: ctx.g_m[a][0] for a in ctx.a_u_matchable}
     m2 = _merge(ctx, extra)
     dev, d_star = _deviations(ctx.round1, ctx.m1, m2)
     return Extension(m2=m2, deviation=dev, d_star=d_star)
@@ -168,7 +170,8 @@ def min_deviation_extension(ctx: ExtensionContext) -> Extension:
     rep = solve_minmax(sub)
     m2 = _merge(ctx, rep.matching.assignment)
     dev, d_star = _deviations(ctx.round1, ctx.m1, m2)
-    assert d_star == rep.objective
+    if d_star != rep.objective:
+        raise AssertionError(f"largest overflow {d_star} differs from the solver's optimum {rep.objective}")
     return Extension(m2=m2, deviation=dev, d_star=d_star)
 
 
@@ -178,8 +181,7 @@ def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int]) -> E
     ``round2_costs`` prices each program for the second round; every program
     that survives in the extension graph must be priced, non-negatively.
     """
-    adj = ctx.g_m.adj
-    needed = {p for a in ctx.a_u_matchable for p in adj[a]}
+    needed = {p for a in ctx.a_u_matchable for p in ctx.g_m[a]}
     missing = [p for p in ctx.round1.programs if p in needed and p not in round2_costs]
     if missing:
         raise ValidationError(f"missing round-two cost for program {missing[0]}")

@@ -8,60 +8,33 @@ found by binary search over [0, |agents| * max_cost].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .hr import gale_shapley_a_optimal
 from .model import HrInstance, Matching, SmfqInstance, SolveReport, is_a_perfect, max_cost
 
 
-@dataclass
-class ThresholdInstance:
-    """A cost instance viewed at spending threshold t.
-
-    ``quota[p]`` is the largest roster p may hold without its spend exceeding
-    t; cost-0 programs get quota |agents| (effectively unbounded).  Programs
-    whose quota lands at 0 are dropped, together with their edges, when the
-    threshold market is materialized.
-    """
-
-    base: SmfqInstance
-    t: int
-
-    quota: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
-    c_star: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("threshold must be non-negative")
-        n = len(self.base.agents)
-        self.c_star = max(self.base.cost.values(), default=0)
-        self.quota = {
-            p: (n if self.base.cost[p] == 0 else self.t // self.base.cost[p])
-            for p in self.base.programs
-        }
-
-    def to_hr(self) -> HrInstance:
-        """Materialize the quota market, dropping programs priced out at t.
-
-        Agents whose whole list is priced out keep an empty list and simply
-        stay unmatched under deferred acceptance.
-        """
-        base = self.base
-        kept = [p for p in base.programs if self.quota[p] >= 1]
-        kept_set = set(kept)
-        return HrInstance(
-            agents=list(base.agents),
-            programs=kept,
-            agent_pref={a: [p for p in base.agent_pref[a] if p in kept_set] for a in base.agents},
-            program_pref={p: list(base.program_pref[p]) for p in kept},
-            cost={p: base.cost[p] for p in kept},
-            quota={p: self.quota[p] for p in kept},
-        )
-
-
 def build_quota_instance(instance: SmfqInstance, t: int) -> HrInstance:
-    """The quota market induced by spending threshold t."""
-    return ThresholdInstance(instance, t).to_hr()
+    """The quota market induced by spending threshold t.
+
+    Program p gets the largest roster it may hold without its spend
+    exceeding t, ``t // cost``; cost-0 programs get quota |agents|
+    (effectively unbounded).  Programs whose quota lands at 0 are dropped
+    together with their edges; agents whose whole list is priced out keep an
+    empty list and simply stay unmatched under deferred acceptance.
+    """
+    if t < 0:
+        raise ValueError("threshold must be non-negative")
+    n = len(instance.agents)
+    quota = {p: (n if instance.cost[p] == 0 else t // instance.cost[p]) for p in instance.programs}
+    kept = [p for p in instance.programs if quota[p] >= 1]
+    kept_set = set(kept)
+    return HrInstance(
+        agents=list(instance.agents),
+        programs=kept,
+        agent_pref={a: [p for p in instance.agent_pref[a] if p in kept_set] for a in instance.agents},
+        program_pref={p: list(instance.program_pref[p]) for p in kept},
+        cost={p: instance.cost[p] for p in kept},
+        quota={p: quota[p] for p in kept},
+    )
 
 
 def feasible_at(instance: SmfqInstance, t: int) -> bool:
@@ -87,6 +60,8 @@ def solve_minmax(instance: SmfqInstance) -> SolveReport:
     t_star = lo
 
     matching: Matching = gale_shapley_a_optimal(build_quota_instance(instance, t_star))
-    assert is_a_perfect(instance, matching)
-    assert max_cost(instance, matching) == t_star
+    if not is_a_perfect(instance, matching):
+        raise AssertionError(f"the matching at the optimal threshold {t_star} leaves an agent out")
+    if max_cost(instance, matching) != t_star:
+        raise AssertionError(f"the matching at the optimal threshold {t_star} spends a different maximum")
     return SolveReport(matching, t_star, "max_cost", "minmax", certified_optimal=True)

@@ -13,27 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .budget import resolve_budget
-from .errors import BudgetExceeded
-from .model import (
-    Matching,
-    PrunedGraph,
-    SmfqInstance,
-    SolveReport,
-    _assignment_envy_free,
-)
-
-CostTuple = tuple[int, ...]
-
-
-@dataclass
-class IsolatedAgent:
-    """Signals that pruning stripped some agent of every candidate program,
-    so the cost tuple under consideration admits no full stable matching."""
-
-    agent: str
+from .budget import check_budget
+from .model import Matching, SmfqInstance, SolveReport, is_envy_free
 
 
 def distinct_costs_per_agent(instance: SmfqInstance) -> list[list[int]]:
@@ -45,26 +27,18 @@ def distinct_costs_per_agent(instance: SmfqInstance) -> list[list[int]]:
     ]
 
 
-def build_tuple_subgraph(instance: SmfqInstance, choice: CostTuple) -> PrunedGraph:
-    """Edges (a, p) where p costs exactly the level chosen for a, per-agent
-    adjacency in preference order."""
-    if len(choice) != len(instance.agents):
-        raise ValueError("cost tuple length must equal the number of agents")
-    adj = {
-        a: [p for p in instance.agent_pref[a] if instance.cost[p] == c]
-        for a, c in zip(instance.agents, choice)
-    }
-    return PrunedGraph(adj)
-
-
-def _prune_fixpoint(instance: SmfqInstance, adjsets: dict[str, set[str]], order: list[str]) -> str | None:
+def prune(instance: SmfqInstance, adjsets: dict[str, set[str]], agent_order: list[str] | None = None) -> str | None:
     """Envy pruning to a fixed point, mutating ``adjsets`` in place.
 
-    Sweep the agents: where an agent a currently tops out at program p, no
-    agent ranked below a may sit at any program a prefers to p, so those
-    edges go.  Deletions are applied eagerly; the sweep repeats until stable.
-    Returns the first agent left with no edges, or None if all survive.
+    ``adjsets[a]`` holds the programs still available to agent a.  Sweep the
+    agents: where an agent a currently tops out at program p, no agent ranked
+    below a may sit at any program a prefers to p, so those edges go.
+    Deletions are applied eagerly; the sweep repeats until stable.  Returns
+    the first agent left with no edges, or None if all survive.  The fixed
+    point does not depend on the sweep order ``agent_order`` (default:
+    instance order).
     """
+    order = instance.agents if agent_order is None else agent_order
     pref = instance.agent_pref
     ppref = instance.program_pref
     prank = instance._prank
@@ -91,21 +65,6 @@ def _prune_fixpoint(instance: SmfqInstance, adjsets: dict[str, set[str]], order:
     return None
 
 
-def prune(graph: PrunedGraph, instance: SmfqInstance, agent_order: list[str] | None = None) -> PrunedGraph | IsolatedAgent:
-    """Apply envy pruning to ``graph`` until nothing changes.
-
-    Returns the pruned graph, or :class:`IsolatedAgent` naming the first
-    agent whose adjacency emptied out.  The fixed point does not depend on
-    the sweep order; ``agent_order`` exists so tests can confirm that.
-    """
-    order = list(instance.agents) if agent_order is None else list(agent_order)
-    adjsets = {a: set(graph.adj.get(a, ())) for a in instance.agents}
-    lost = _prune_fixpoint(instance, adjsets, order)
-    if lost is not None:
-        return IsolatedAgent(lost)
-    return PrunedGraph({a: [p for p in instance.agent_pref[a] if p in adjsets[a]] for a in instance.agents})
-
-
 def solve_minsum_exact(
     instance: SmfqInstance,
     budget: int | None = None,
@@ -120,15 +79,11 @@ def solve_minsum_exact(
     ``force`` is set.
     """
     cost_sets = distinct_costs_per_agent(instance)
-    total = math.prod(len(s) for s in cost_sets)
-    limit = resolve_budget(budget)
-    if total > limit and not force:
-        raise BudgetExceeded(f"{total} cost tuples exceed the budget of {limit}")
+    check_budget(math.prod(len(s) for s in cost_sets), budget, force, "cost tuples")
 
     agents = instance.agents
     pref = instance.agent_pref
     cost = instance.cost
-    order = list(agents) if agent_order is None else list(agent_order)
 
     # group each agent's list by cost level once, keeping preference order
     by_cost: dict[str, dict[int, list[str]]] = {}
@@ -142,18 +97,18 @@ def solve_minsum_exact(
     best_cost = 0
     for choice in itertools.product(*cost_sets):
         adjsets = {a: set(by_cost[a][c]) for a, c in zip(agents, choice)}
-        if _prune_fixpoint(instance, adjsets, order) is not None:
+        if prune(instance, adjsets, agent_order) is not None:
             continue
         assignment = {}
         for a in agents:
             rem = adjsets[a]
             assignment[a] = next(p for p in pref[a] if p in rem)
-        # every surviving tuple yields a full stable matching
-        assert _assignment_envy_free(instance, assignment)
+        if not is_envy_free(instance, Matching(assignment)).ok:
+            raise AssertionError("a surviving cost tuple yielded an envious matching")
         c = sum(cost[p] for p in assignment.values())
         if best is None or c < best_cost:
             best, best_cost = assignment, c
 
-    # the tuple picking each agent's top-choice cost never prunes to empty
-    assert best is not None
+    if best is None:
+        raise AssertionError("the tuple of top-choice costs always survives pruning")
     return SolveReport(Matching(best), best_cost, "total_cost", "minsum-exact", certified_optimal=True)

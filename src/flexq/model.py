@@ -140,23 +140,6 @@ class SolveReport:
             raise ValueError(f"unknown objective kind {self.objective_kind!r}")
 
 
-@dataclass
-class PrunedGraph:
-    """Surviving acceptable pairs after envy pruning.
-
-    ``adj[a]`` lists the programs still available to agent ``a`` in the
-    agent's own preference order.
-    """
-
-    adj: dict[str, list[str]]
-
-    def edge_set(self) -> set[tuple[str, str]]:
-        return {(a, p) for a, ps in self.adj.items() for p in ps}
-
-    def degree(self, agent: str) -> int:
-        return len(self.adj.get(agent, ()))
-
-
 class StabilityCheck(NamedTuple):
     """Result of a stability scan: overall verdict plus every violating pair."""
 
@@ -230,6 +213,26 @@ def _roster_worst(instance: SmfqInstance, assignment: dict[str, str]) -> dict[st
     return worst
 
 
+def _scan(instance: SmfqInstance, assignment: dict[str, str], worst: dict[str, int]) -> StabilityCheck:
+    """Every pair (a, p) where a prefers p to its assignment and
+    ``worst[p]`` exceeds a's rank at p, ordered by (agent position, program
+    position) in the instance."""
+    prank = instance._prank
+    violations: list[tuple[str, str]] = []
+    for a in instance.agents:
+        lst = instance.agent_pref.get(a, [])
+        cur = assignment.get(a)
+        limit = instance._arank[a][cur] if cur is not None else len(lst)
+        for p in lst[:limit]:
+            if worst.get(p, -1) > prank[p][a]:
+                violations.append((a, p))
+    if violations:
+        aindex = {a: i for i, a in enumerate(instance.agents)}
+        pindex = {p: i for i, p in enumerate(instance.programs)}
+        violations.sort(key=lambda v: (aindex[v[0]], pindex[v[1]]))
+    return StabilityCheck(not violations, violations)
+
+
 def is_envy_free(instance: SmfqInstance, matching: Matching) -> StabilityCheck:
     """Scan for envy pairs: an agent preferring a program whose roster holds a
     strictly worse agent.  Unmatched agents prefer every acceptable program.
@@ -238,19 +241,7 @@ def is_envy_free(instance: SmfqInstance, matching: Matching) -> StabilityCheck:
     ordered by (agent position, program position) in the instance.
     """
     _check_assigned_acceptable(instance, matching)
-    assignment = matching.assignment
-    worst = _roster_worst(instance, assignment)
-    pindex = {p: i for i, p in enumerate(instance.programs)}
-    prank = instance._prank
-    violations: list[tuple[str, str]] = []
-    for a in instance.agents:
-        lst = instance.agent_pref.get(a, [])
-        cur = assignment.get(a)
-        limit = instance._arank[a][cur] if cur is not None else len(lst)
-        envied = [p for p in lst[:limit] if p in worst and worst[p] > prank[p][a]]
-        envied.sort(key=pindex.__getitem__)
-        violations.extend((a, p) for p in envied)
-    return StabilityCheck(not violations, violations)
+    return _scan(instance, matching.assignment, _roster_worst(instance, matching.assignment))
 
 
 def is_hr_stable(instance: HrInstance, matching: Matching) -> StabilityCheck:
@@ -258,7 +249,8 @@ def is_hr_stable(instance: HrInstance, matching: Matching) -> StabilityCheck:
 
     A pair (a, p) off the matching blocks when a prefers p to its current
     assignment (or is unmatched) and p is under-subscribed or holds an agent
-    it likes less than a.  The matching must respect quotas.
+    it likes less than a.  The matching must respect quotas.  This is the
+    envy scan with one extra rule: an open seat blocks for everyone.
     """
     _check_assigned_acceptable(instance, matching)
     assignment = matching.assignment
@@ -267,21 +259,10 @@ def is_hr_stable(instance: HrInstance, matching: Matching) -> StabilityCheck:
         if sizes.get(p, 0) > instance.quota[p]:
             raise QuotaViolated(f"program {p} holds {sizes[p]} agents but has quota {instance.quota[p]}")
     worst = _roster_worst(instance, assignment)
-    pindex = {p: i for i, p in enumerate(instance.programs)}
-    prank = instance._prank
-    violations: list[tuple[str, str]] = []
-    for a in instance.agents:
-        lst = instance.agent_pref.get(a, [])
-        cur = assignment.get(a)
-        limit = instance._arank[a][cur] if cur is not None else len(lst)
-        blocking = [
-            p
-            for p in lst[:limit]
-            if sizes.get(p, 0) < instance.quota[p] or (p in worst and worst[p] > prank[p][a])
-        ]
-        blocking.sort(key=pindex.__getitem__)
-        violations.extend((a, p) for p in blocking)
-    return StabilityCheck(not violations, violations)
+    for p in instance.programs:
+        if sizes.get(p, 0) < instance.quota[p]:
+            worst[p] = len(instance.program_pref.get(p, []))
+    return _scan(instance, assignment, worst)
 
 
 def total_cost(instance: SmfqInstance, matching: Matching) -> int:
@@ -307,37 +288,3 @@ def top_choice_matching(instance: SmfqInstance) -> Matching:
     prefers anything over its assignment.
     """
     return Matching({a: instance.agent_pref[a][0] for a in instance.agents})
-
-
-def _assignment_envy_free(instance: SmfqInstance, assignment: dict[str, str]) -> bool:
-    """Fast verdict-only envy scan over a raw assignment dict."""
-    worst = _roster_worst(instance, assignment)
-    prank = instance._prank
-    for a in instance.agents:
-        lst = instance.agent_pref.get(a, [])
-        cur = assignment.get(a)
-        limit = instance._arank[a][cur] if cur is not None else len(lst)
-        for p in lst[:limit]:
-            w = worst.get(p)
-            if w is not None and w > prank[p][a]:
-                return False
-    return True
-
-
-def _assignment_hr_stable(instance: HrInstance, assignment: dict[str, str]) -> bool:
-    """Fast verdict-only blocking-pair scan; assumes quotas are respected."""
-    sizes = Counter(assignment.values())
-    worst = _roster_worst(instance, assignment)
-    prank = instance._prank
-    quota = instance.quota
-    for a in instance.agents:
-        lst = instance.agent_pref.get(a, [])
-        cur = assignment.get(a)
-        limit = instance._arank[a][cur] if cur is not None else len(lst)
-        for p in lst[:limit]:
-            if sizes.get(p, 0) < quota[p]:
-                return False
-            w = worst.get(p)
-            if w is not None and w > prank[p][a]:
-                return False
-    return True

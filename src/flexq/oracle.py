@@ -14,16 +14,16 @@ fixed.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from itertools import chain
+from typing import Callable, Iterator
 
-from .budget import resolve_budget
-from .errors import BudgetExceeded
+from .budget import check_budget
 from .model import (
     HrInstance,
     Matching,
     SmfqInstance,
     SolveReport,
-    _assignment_hr_stable,
+    is_hr_stable,
     max_cost,
     total_cost,
 )
@@ -39,13 +39,14 @@ def enumerate_a_perfect_stable(
     full assignment space tops the budget, unless forced.
     """
     space = math.prod(len(instance.agent_pref.get(a, [])) for a in instance.agents)
-    limit = resolve_budget(budget)
-    if space > limit and not force:
-        raise BudgetExceeded(f"{space} assignments exceed the budget of {limit}")
+    check_budget(space, budget, force, "assignments")
     return _stable_assignments(instance)
 
 
 def _stable_assignments(instance: SmfqInstance) -> Iterator[Matching]:
+    # depth-first over agents with an explicit stack, so deep markets cannot
+    # exhaust the interpreter's recursion limit; cands[i] iterates agent i's
+    # remaining candidates, watched[i] holds the rosters agent i envies into
     agents = instance.agents
     n = len(agents)
     pref = instance.agent_pref
@@ -54,20 +55,30 @@ def _stable_assignments(instance: SmfqInstance) -> Iterator[Matching]:
     assignment: dict[str, str] = {}
     members: dict[str, list[int]] = {p: [] for p in instance.programs}
     enviers: dict[str, list[int]] = {p: [] for p in instance.programs}
-
-    def place(i: int) -> Iterator[Matching]:
+    cands: list[Iterator[str] | None] = [None] * n
+    watched: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    if n:
+        cands[0] = iter(pref.get(agents[0], []))
+    i = 0
+    while i >= 0:
         if i == n:
             yield Matching(dict(assignment))
-            return
+            i -= 1
+            continue
         a = agents[i]
+        p = assignment.pop(a, None)
+        if p is not None:  # back from the subtree below a's last placement
+            members[p].pop()
+            for q, _ in watched[i]:
+                enviers[q].pop()
         lst = pref.get(a, [])
-        for p in lst:
+        for p in cands[i]:
             rp = prank[p][a]
             env = enviers[p]
             # someone already placed prefers p and outranks a there
             if env and min(env) < rp:
                 continue
-            watched: list[tuple[str, int]] = []
+            w: list[tuple[str, int]] = []
             ok = True
             for q in lst[: arank[a][p]]:
                 rq = prank[q][a]
@@ -75,44 +86,44 @@ def _stable_assignments(instance: SmfqInstance) -> Iterator[Matching]:
                 if mq and max(mq) > rq:
                     ok = False  # a would envy a worse agent already at q
                     break
-                watched.append((q, rq))
+                w.append((q, rq))
             if not ok:
                 continue
             assignment[a] = p
             members[p].append(rp)
-            for q, rq in watched:
+            for q, rq in w:
                 enviers[q].append(rq)
-            yield from place(i + 1)
-            del assignment[a]
-            members[p].pop()
-            for q, _ in watched:
-                enviers[q].pop()
+            watched[i] = w
+            i += 1
+            if i < n:
+                cands[i] = iter(pref.get(agents[i], []))
+            break
+        else:
+            i -= 1
 
-    return place(0)
+
+def _best(instance: SmfqInstance, score: Callable[[SmfqInstance, Matching], int],
+          kind: str, method: str, budget: int | None, force: bool) -> SolveReport:
+    """The first full stable assignment with the smallest ``score``."""
+    best: Matching | None = None
+    best_cost = 0
+    for m in enumerate_a_perfect_stable(instance, budget=budget, force=force):
+        c = score(instance, m)
+        if best is None or c < best_cost:
+            best, best_cost = m, c
+    if best is None:
+        raise AssertionError("a validated instance always admits the top-choice matching")
+    return SolveReport(best, best_cost, kind, method, certified_optimal=True)
 
 
 def oracle_minsum(instance: SmfqInstance, budget: int | None = None, force: bool = False) -> SolveReport:
     """Minimum total spend over all full stable assignments, by enumeration."""
-    best: Matching | None = None
-    best_cost = 0
-    for m in enumerate_a_perfect_stable(instance, budget=budget, force=force):
-        c = total_cost(instance, m)
-        if best is None or c < best_cost:
-            best, best_cost = m, c
-    assert best is not None, "a validated instance always admits the top-choice matching"
-    return SolveReport(best, best_cost, "total_cost", "oracle-minsum", certified_optimal=True)
+    return _best(instance, total_cost, "total_cost", "oracle-minsum", budget, force)
 
 
 def oracle_minmax(instance: SmfqInstance, budget: int | None = None, force: bool = False) -> SolveReport:
     """Minimum max spend over all full stable assignments, by enumeration."""
-    best: Matching | None = None
-    best_cost = 0
-    for m in enumerate_a_perfect_stable(instance, budget=budget, force=force):
-        c = max_cost(instance, m)
-        if best is None or c < best_cost:
-            best, best_cost = m, c
-    assert best is not None, "a validated instance always admits the top-choice matching"
-    return SolveReport(best, best_cost, "max_cost", "oracle-minmax", certified_optimal=True)
+    return _best(instance, max_cost, "max_cost", "oracle-minmax", budget, force)
 
 
 def enumerate_hr_stable(
@@ -127,36 +138,42 @@ def enumerate_hr_stable(
     rosters, is checked once each assignment is complete.
     """
     space = math.prod(len(instance.agent_pref.get(a, [])) + 1 for a in instance.agents)
-    limit = resolve_budget(budget)
-    if space > limit and not force:
-        raise BudgetExceeded(f"{space} assignments exceed the budget of {limit}")
+    check_budget(space, budget, force, "assignments")
     return _hr_stable_assignments(instance)
 
 
 def _hr_stable_assignments(instance: HrInstance) -> Iterator[Matching]:
+    # the same explicit-stack walk as _stable_assignments; each agent's
+    # candidates end with None, staying unmatched, which is always within quota
     agents = instance.agents
     n = len(agents)
     pref = instance.agent_pref
-    prank = instance._prank
     quota = instance.quota
     assignment: dict[str, str] = {}
     sizes: dict[str, int] = {p: 0 for p in instance.programs}
-
-    def place(i: int) -> Iterator[Matching]:
+    cands: list[Iterator[str | None] | None] = [None] * n
+    if n:
+        cands[0] = chain(pref.get(agents[0], []), (None,))
+    i = 0
+    while i >= 0:
         if i == n:
-            if _assignment_hr_stable(instance, assignment):
+            if is_hr_stable(instance, Matching(assignment)).ok:
                 yield Matching(dict(assignment))
-            return
+            i -= 1
+            continue
         a = agents[i]
-        for p in pref.get(a, []):
-            if sizes[p] >= quota[p]:
-                continue
+        p = assignment.pop(a, None)
+        if p is not None:
+            sizes[p] -= 1
+        for p in cands[i]:
+            if p is None or sizes[p] < quota[p]:
+                break
+        else:
+            i -= 1
+            continue
+        if p is not None:
             assignment[a] = p
             sizes[p] += 1
-            yield from place(i + 1)
-            sizes[p] -= 1
-            del assignment[a]
-        # leaving a unmatched is always within quota
-        yield from place(i + 1)
-
-    return place(0)
+        i += 1
+        if i < n:
+            cands[i] = chain(pref.get(agents[i], []), (None,))

@@ -39,7 +39,6 @@ def test_choice_summary_on_the_canonical_market():
     assert choice.p_star == {"a1": "p1", "a2": "p1", "a3": "p1",
                              "a4": "p1", "a5": "p2"}
     assert choice.ell_p == 5  # p2 ranks five agents
-    assert choice.ell_a == 2
     assert lower_bound_sum(h) == 1 + 1 + 1 + 1 + 2
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import flexq
 from flexq import (
+    SmfqInstance,
     gen_example1,
     gen_fig1,
     gen_fig2,
@@ -98,6 +103,19 @@ def test_oracle_subcommand(capsys, fig1_h):
     assert code == 0 and "# objective=7" in out and "# method=oracle-minsum" in out
     code, out, _ = run(capsys, "oracle", "minmax", fig1_h)
     assert code == 0 and "# objective=4" in out
+
+
+def test_oracle_handles_markets_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # one program, so the search space is a single assignment, but the
+    # enumeration descends once per agent
+    agents = [f"a{i}" for i in range(3000)]
+    inst = SmfqInstance(agents, ["p1"], {a: ["p1"] for a in agents},
+                        {"p1": list(agents)}, {"p1": 1})
+    path = tmp_path / "deep.smfq"
+    path.write_text(serialize_instance(inst))
+    code, out, _ = run(capsys, "oracle", "minsum", str(path))
+    assert code == 0
+    assert "# objective=3000\n" in out
 
 
 def test_budget_exit_code(capsys, fig1_h):
@@ -219,6 +237,23 @@ def test_internal_invariant_violations_exit_4(capsys, fig1_h, monkeypatch):
     code, _, err = run(capsys, "solve", "minmax", fig1_h)
     assert code == 4
     assert "invariant" in err
+
+
+def test_internal_invariants_survive_optimized_mode(fig1_h):
+    # python -O strips assert statements; a broken invariant must still exit 4
+    script = ("import sys\n"
+              "import flexq.minmax\n"
+              "flexq.minmax.max_cost = lambda instance, matching: -1\n"
+              "from flexq.cli import cli\n"
+              f"sys.exit(cli(['solve', 'minmax', {fig1_h!r}]))\n")
+    src = str(Path(flexq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert "invariant" in proc.stderr
+    assert "# certified=true" not in proc.stdout
 
 
 def test_console_entry_point(capsys, fig1_h, monkeypatch):

@@ -39,7 +39,7 @@ def test_barriers_on_the_canonical_market():
 def test_extension_graph_prunes_below_the_barrier():
     _, _, ctx = canonical_context()
     assert ctx.a_u == ["a3", "a5"]
-    assert ctx.g_m.adj == {"a3": ["p2", "p1"], "a5": ["p2"]}
+    assert ctx.g_m == {"a3": ["p2", "p1"], "a5": ["p2"]}
     assert ctx.a_u_matchable == ["a3", "a5"]
     assert ctx.unextendable == []
 

@@ -38,23 +38,20 @@ def test_feasibility_flips_exactly_at_the_threshold():
 
 
 def test_budgeted_quotas_derived_from_the_threshold():
-    from flexq.minmax import ThresholdInstance
     _, h = gen_fig1()
-    assert ThresholdInstance(h, 4).quota == {"p1": 4, "p2": 2}
-    assert ThresholdInstance(h, 1).quota == {"p1": 1, "p2": 0}
-    # materializing the market drops the priced-out program and its edges
+    assert build_quota_instance(h, 4).quota == {"p1": 4, "p2": 2}
+    # at t=1 p2 is priced out: the market drops it together with its edges
     q1 = build_quota_instance(h, 1)
+    assert q1.quota == {"p1": 1}
     assert q1.programs == ["p1"]
     assert q1.agent_pref["a5"] == []  # a5 only wanted p2; it may stay unmatched
 
 
 def test_free_programs_get_unbounded_seats():
-    from flexq.minmax import ThresholdInstance
     inst = gen_fig2(4)  # p0 costs nothing
-    ti = ThresholdInstance(inst, 0)
-    assert ti.quota["p0"] == len(inst.agents)
-    assert ti.quota["p1"] == 0
-    assert build_quota_instance(inst, 0).programs == ["p0"]
+    q0 = build_quota_instance(inst, 0)
+    assert q0.quota == {"p0": len(inst.agents)}  # every priced program is out
+    assert q0.programs == ["p0"]
 
 
 def test_zero_threshold_when_everything_is_free():

@@ -9,10 +9,8 @@ import pytest
 import helpers
 from flexq import (
     BudgetExceeded,
-    IsolatedAgent,
     SmfqInstance,
     bench_instance,
-    build_tuple_subgraph,
     distinct_costs_per_agent,
     gen_fig1,
     gen_fig2,
@@ -29,42 +27,35 @@ def test_distinct_cost_levels_per_agent():
     assert distinct_costs_per_agent(h) == [[1, 2], [1, 2], [1, 2], [1, 2], [2]]
 
 
-def test_tuple_subgraph_keeps_only_the_chosen_level():
-    _, h = gen_fig1()
-    g = build_tuple_subgraph(h, (1, 1, 1, 1, 2))
-    assert g.adj == {"a1": ["p1"], "a2": ["p1"], "a3": ["p1"],
-                     "a4": ["p1"], "a5": ["p2"]}
-    assert g.degree("a5") == 1
-    with pytest.raises(ValueError):
-        build_tuple_subgraph(h, (1, 1))
+def tuple_graph(instance: SmfqInstance, choice: tuple[int, ...]) -> dict[str, set[str]]:
+    """Each agent's programs at exactly the cost level chosen for it."""
+    return {a: {p for p in instance.agent_pref[a] if instance.cost[p] == c}
+            for a, c in zip(instance.agents, choice)}
 
 
 def test_pruning_isolates_the_overpriced_agent():
     # everyone else camps on the cheap program, so a5 cannot keep its seat:
     # a2 would envy anyone below it sitting at p2
     _, h = gen_fig1()
-    g = build_tuple_subgraph(h, (1, 1, 1, 1, 2))
-    result = prune(g, h)
-    assert isinstance(result, IsolatedAgent)
-    assert result.agent == "a5"
+    assert prune(h, tuple_graph(h, (1, 1, 1, 1, 2))) == "a5"
 
 
 def test_pruning_fixed_point_for_the_optimal_tuple():
     _, h = gen_fig1()
-    g = build_tuple_subgraph(h, (1, 2, 1, 1, 2))
-    result = prune(g, h)
-    assert not isinstance(result, IsolatedAgent)
-    assert result.adj == {"a1": ["p1"], "a2": ["p2"], "a3": ["p1"],
-                          "a4": ["p1"], "a5": ["p2"]}
+    adjsets = tuple_graph(h, (1, 2, 1, 1, 2))
+    assert prune(h, adjsets) is None
+    assert adjsets == {"a1": {"p1"}, "a2": {"p2"}, "a3": {"p1"},
+                       "a4": {"p1"}, "a5": {"p2"}}
 
 
 def test_pruned_fixed_point_is_order_independent():
     _, h = gen_fig1()
-    g = build_tuple_subgraph(h, (1, 2, 1, 1, 2))
-    base = prune(g, h)
+    base = tuple_graph(h, (1, 2, 1, 1, 2))
+    prune(h, base)
     for order in itertools.permutations(h.agents):
-        result = prune(g, h, agent_order=list(order))
-        assert result.edge_set() == base.edge_set()
+        adjsets = tuple_graph(h, (1, 2, 1, 1, 2))
+        assert prune(h, adjsets, agent_order=list(order)) is None
+        assert adjsets == base
 
 
 def test_exact_solution_on_the_canonical_market():
@@ -109,10 +100,11 @@ def test_returns_the_first_optimal_tuple_in_ascending_order():
         expected = None
         expected_cost = None
         for choice in itertools.product(*distinct_costs_per_agent(inst)):
-            result = prune(build_tuple_subgraph(inst, choice), inst)
-            if isinstance(result, IsolatedAgent):
+            adjsets = tuple_graph(inst, choice)
+            if prune(inst, adjsets) is not None:
                 continue
-            assignment = {a: result.adj[a][0] for a in inst.agents}
+            assignment = {a: next(p for p in inst.agent_pref[a] if p in adjsets[a])
+                          for a in inst.agents}
             c = sum(inst.cost[p] for p in assignment.values())
             if expected_cost is None or c < expected_cost:
                 expected, expected_cost = assignment, c

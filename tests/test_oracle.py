@@ -7,6 +7,7 @@ import pytest
 import helpers
 from flexq import (
     BudgetExceeded,
+    HrInstance,
     bench_hr_instance,
     bench_instance,
     enumerate_a_perfect_stable,
@@ -79,6 +80,14 @@ def test_hr_budget_counts_the_stay_unmatched_branch():
     with pytest.raises(BudgetExceeded):
         list(enumerate_hr_stable(g, budget=161))
     assert len(list(enumerate_hr_stable(g, budget=162))) >= 1
+
+
+def test_quota_enumeration_handles_markets_deeper_than_the_recursion_limit():
+    agents = [f"a{i}" for i in range(3000)]
+    inst = HrInstance(agents, ["p1"], {a: ["p1"] for a in agents},
+                      {"p1": list(agents)}, {"p1": 0}, {"p1": 1})
+    first = next(enumerate_hr_stable(inst, force=True))
+    assert first.assignment == {"a0": "p1"}
 
 
 def test_oracle_minimum_is_a_true_minimum():
