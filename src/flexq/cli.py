@@ -6,7 +6,7 @@ Subcommands::
     solve minsum [--method exact|promote|restrict|minmax] <file>
     check <file> --matching <mfile>
     oracle minsum|minmax <file> [--budget N] [--force]
-    extend <hr-file> --objective deviation|cost [--costs <file>]
+    extend <hr-file> --objective deviation|cost [--costs <file>] [--budget N] [--force]
     gen fig1|fig2|ex1|ex2|random|masterlist|setcover|vertexcover ...
     bench --suite small --seeds K
 
@@ -103,7 +103,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         objective, method = ext.d_star, "extend-deviation"
     else:
         costs = parse_cost_file(_read(args.costs)) if args.costs else dict(instance.cost)
-        ext = min_cost_extension(ctx, costs)
+        ext = min_cost_extension(ctx, costs, budget=args.budget, force=args.force)
         objective, method = ext.round2_cost, "extend-cost"
     sys.stdout.write(format_matching(instance, ext.m2, notes=[
         ("objective", objective),
@@ -234,6 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--objective", choices=("deviation", "cost"), required=True)
     p_ext.add_argument("--costs", default=None,
                        help="per-program second-round cost file (defaults to instance costs)")
+    add_budget(p_ext)
     p_ext.set_defaults(fn=_cmd_extend)
 
     p_gen = sub.add_parser("gen", help="emit a generated instance file")

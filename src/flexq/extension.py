@@ -175,11 +175,15 @@ def min_deviation_extension(ctx: ExtensionContext) -> Extension:
     return Extension(m2=m2, deviation=dev, d_star=d_star)
 
 
-def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int]) -> Extension:
+def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int],
+                       budget: int | None = None, force: bool = False) -> Extension:
     """Match all matchable leftovers while minimizing round-two spend.
 
     ``round2_costs`` prices each program for the second round; every program
     that survives in the extension graph must be priced, non-negatively.
+    ``budget`` and ``force`` go to the exact total-spend solver, which raises
+    :class:`BudgetExceeded` when the restricted market has too many cost
+    tuples.
     """
     needed = {p for a in ctx.a_u_matchable for p in ctx.g_m[a]}
     missing = [p for p in ctx.round1.programs if p in needed and p not in round2_costs]
@@ -194,7 +198,7 @@ def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int]) -> E
         dev, d_star = _deviations(ctx.round1, ctx.m1, ctx.m1)
         return Extension(m2=ctx.m1, deviation=dev, d_star=d_star, round2_cost=0)
     sub = _restricted_market(ctx, dict(round2_costs))
-    rep = solve_minsum_exact(sub)
+    rep = solve_minsum_exact(sub, budget=budget, force=force)
     m2 = _merge(ctx, rep.matching.assignment)
     dev, d_star = _deviations(ctx.round1, ctx.m1, m2)
     return Extension(m2=m2, deviation=dev, d_star=d_star, round2_cost=rep.objective)

@@ -3,53 +3,72 @@
 Agents propose down their lists; a full program keeps its best tentative
 roster and bounces the rest.  The outcome is the agent-optimal stable
 matching, and it does not depend on the order in which free agents propose.
+
+Each program holds its tentative roster in a max-heap keyed by its own rank
+of the agent, so the worst held agent is on top and a trade costs
+O(log q).  A run over preference lists of total length L takes
+O(L log q) time, where q is the largest quota.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush, heapreplace
 
-from .model import HrInstance, Matching
+from .model import HrInstance, Matching, SmfqInstance
 
 
-def gale_shapley_a_optimal(instance: HrInstance, proposal_order: list[str] | None = None) -> Matching:
+def gale_shapley_a_optimal(instance: SmfqInstance, proposal_order: list[str] | None = None,
+                           quota: dict[str, int] | None = None) -> Matching:
     """Run agent-proposing deferred acceptance.
+
+    ``quota`` maps programs to seats and defaults to ``instance.quota``
+    (an :class:`HrInstance`).  A program missing from the map, or given no
+    seats, takes nobody: proposals to it are skipped, exactly as if it were
+    cut from the market together with its edges.  This lets one cost
+    market serve every threshold of the max-spend search without a copy.
 
     ``proposal_order`` reorders the initial proposal queue; the returned
     matching is the same for every order (the tests shuffle it).  Agents whose
     lists run out stay unmatched.
     """
     order = list(instance.agents) if proposal_order is None else list(proposal_order)
+    if quota is None:
+        quota = instance.quota
     pref = instance.agent_pref
     prank = instance._prank
-    quota = instance.quota
+    # program -> (tentative roster, seats, ranks); the roster is a heap of
+    # (-rank, agent), so the worst tentative agent sits on top
+    slots = {p: ([], quota[p], prank[p]) for p in instance.programs if quota.get(p, 0) >= 1}
 
-    nxt = {a: 0 for a in instance.agents}
+    nxt = dict.fromkeys(instance.agents, 0)
     match: dict[str, str] = {}
-    roster: dict[str, set[str]] = {p: set() for p in instance.programs}
     free = deque(order)
 
     while free:
         a = free.popleft()
-        lst = pref.get(a, [])
-        while nxt[a] < len(lst):
-            p = lst[nxt[a]]
-            nxt[a] += 1
-            held = roster[p]
-            if len(held) < quota[p]:
-                held.add(a)
+        lst = pref.get(a, ())
+        i = nxt[a]
+        while i < len(lst):
+            p = lst[i]
+            i += 1
+            slot = slots.get(p)
+            if slot is None:
+                continue  # p has no seats
+            heap, seats, ranks = slot
+            r = ranks[a]
+            if len(heap) < seats:
+                heappush(heap, (-r, a))
                 match[a] = p
                 break
-            ranks = prank[p]
-            w = max(held, key=ranks.__getitem__)
-            if ranks[a] < ranks[w]:
+            if r < -heap[0][0]:
                 # p trades its worst tentative agent for the proposer
-                held.discard(w)
+                w = heapreplace(heap, (-r, a))[1]
                 del match[w]
                 free.append(w)
-                held.add(a)
                 match[a] = p
                 break
+        nxt[a] = i
         # list exhausted: a stays unmatched
 
     return Matching({a: match[a] for a in instance.agents if a in match})

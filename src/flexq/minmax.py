@@ -1,46 +1,39 @@
 """Minimize the largest per-program spend, exactly and in polynomial time.
 
-For a threshold t, give each program the quota it can afford under t
+For a threshold t, give each program the seats it can afford under t
 (``t // cost``, unlimited for cost-0 programs) and ask whether deferred
 acceptance matches everyone.  Feasibility is monotone in t, so the optimum is
-found by binary search over [0, |agents| * max_cost].
+found by binary search over [0, |agents| * max_cost].  Every probe runs on the
+cost market's own preference lists and rank tables with a fresh seat map; no
+probe copies the market.
 """
 
 from __future__ import annotations
 
 from .hr import gale_shapley_a_optimal
-from .model import HrInstance, Matching, SmfqInstance, SolveReport, is_a_perfect, max_cost
+from .model import Matching, SmfqInstance, SolveReport, is_a_perfect, max_cost
 
 
-def build_quota_instance(instance: SmfqInstance, t: int) -> HrInstance:
-    """The quota market induced by spending threshold t.
+def build_quota_instance(instance: SmfqInstance, t: int) -> dict[str, int]:
+    """The seat map induced by spending threshold t.
 
     Program p gets the largest roster it may hold without its spend
-    exceeding t, ``t // cost``; cost-0 programs get quota |agents|
-    (effectively unbounded).  Programs whose quota lands at 0 are dropped
-    together with their edges; agents whose whole list is priced out keep an
-    empty list and simply stay unmatched under deferred acceptance.
+    exceeding t, ``t // cost``; cost-0 programs get |agents| seats
+    (effectively unbounded).  Programs priced out (0 seats) are left out of
+    the map, so deferred acceptance skips them; agents whose whole list is
+    priced out simply stay unmatched.
     """
     if t < 0:
         raise ValueError("threshold must be non-negative")
     n = len(instance.agents)
-    quota = {p: (n if instance.cost[p] == 0 else t // instance.cost[p]) for p in instance.programs}
-    kept = [p for p in instance.programs if quota[p] >= 1]
-    kept_set = set(kept)
-    return HrInstance(
-        agents=list(instance.agents),
-        programs=kept,
-        agent_pref={a: [p for p in instance.agent_pref[a] if p in kept_set] for a in instance.agents},
-        program_pref={p: list(instance.program_pref[p]) for p in kept},
-        cost={p: instance.cost[p] for p in kept},
-        quota={p: quota[p] for p in kept},
-    )
+    quota = {p: (n if c == 0 else t // c) for p, c in instance.cost.items()}
+    return {p: q for p, q in quota.items() if q >= 1}
 
 
 def feasible_at(instance: SmfqInstance, t: int) -> bool:
     """Can every agent be matched while no program spends more than t?"""
-    hr = build_quota_instance(instance, t)
-    return is_a_perfect(instance, gale_shapley_a_optimal(hr))
+    quota = build_quota_instance(instance, t)
+    return is_a_perfect(instance, gale_shapley_a_optimal(instance, quota=quota))
 
 
 def solve_minmax(instance: SmfqInstance) -> SolveReport:
@@ -59,7 +52,7 @@ def solve_minmax(instance: SmfqInstance) -> SolveReport:
             lo = mid + 1
     t_star = lo
 
-    matching: Matching = gale_shapley_a_optimal(build_quota_instance(instance, t_star))
+    matching: Matching = gale_shapley_a_optimal(instance, quota=build_quota_instance(instance, t_star))
     if not is_a_perfect(instance, matching):
         raise AssertionError(f"the matching at the optimal threshold {t_star} leaves an agent out")
     if max_cost(instance, matching) != t_star:

@@ -66,6 +66,53 @@ def hr_stable_naive(instance: HrInstance, assignment: dict[str, str]) -> bool:
     return True
 
 
+def deferred_acceptance_naive(instance: HrInstance) -> dict[str, str]:
+    """Agent-proposing deferred acceptance with list scans for every choice.
+
+    Free agents propose in instance order; a full program drops the member
+    that sits latest on its list.  The outcome is the agent-optimal stable
+    matching, so any correct implementation must agree with it.
+    """
+    pos = {a: 0 for a in instance.agents}
+    rosters: dict[str, list[str]] = {p: [] for p in instance.programs}
+    free = list(instance.agents)
+    while free:
+        a = free.pop(0)
+        lst = instance.agent_pref[a]
+        while pos[a] < len(lst):
+            p = lst[pos[a]]
+            pos[a] += 1
+            members = rosters[p]
+            members.append(a)
+            if len(members) <= instance.quota[p]:
+                break
+            worst = max(members, key=instance.program_pref[p].index)
+            members.remove(worst)
+            if worst != a:
+                free.append(worst)
+                break
+    return {a: p for p in instance.programs for a in rosters[p]}
+
+
+def threshold_market(instance: SmfqInstance, t: int) -> HrInstance:
+    """The quota market of spending threshold t, built as a separate market.
+
+    Each program gets ``t // cost`` seats (all agents for cost 0); programs
+    left with no seat are removed together with every edge to them.
+    """
+    n = len(instance.agents)
+    seats = {p: n if instance.cost[p] == 0 else t // instance.cost[p] for p in instance.programs}
+    kept = [p for p in instance.programs if seats[p] >= 1]
+    return HrInstance(
+        agents=list(instance.agents),
+        programs=kept,
+        agent_pref={a: [p for p in instance.agent_pref[a] if p in kept] for a in instance.agents},
+        program_pref={p: list(instance.program_pref[p]) for p in kept},
+        cost={p: instance.cost[p] for p in kept},
+        quota={p: seats[p] for p in kept},
+    )
+
+
 # ---------------------------------------------------------------------------
 # brute-force enumeration
 

@@ -153,6 +153,16 @@ def test_extend_cost_with_a_price_file(capsys, fig1_g, tmp_path):
     assert "a3 -> p2" in out
 
 
+def test_extend_cost_honours_the_budget_flags(capsys, fig1_g):
+    # the restricted market has two cost tuples: a3 may take p2 (cost 2) or p1 (cost 1)
+    code, _, err = run(capsys, "extend", fig1_g, "--objective", "cost", "--budget", "1")
+    assert code == 3
+    assert "budget" in err
+    code, out, _ = run(capsys, "extend", fig1_g, "--objective", "cost",
+                       "--budget", "1", "--force")
+    assert code == 0 and "# objective=3" in out
+
+
 def test_extend_requires_a_quota_instance(capsys, fig1_h):
     code, _, err = run(capsys, "extend", fig1_h, "--objective", "deviation")
     assert code == 2

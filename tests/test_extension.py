@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from flexq import (
+    BudgetExceeded,
     HrInstance,
     Matching,
     NotStable,
@@ -84,6 +85,14 @@ def test_min_cost_extension_prices_the_second_round():
     ext2 = min_cost_extension(ctx, {"p1": 5, "p2": 1})
     assert ext2.round2_cost == 2
     assert ext2.m2.assignment["a3"] == "p2"
+
+
+def test_min_cost_extension_forwards_the_budget():
+    _, _, ctx = canonical_context()
+    with pytest.raises(BudgetExceeded):
+        min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=1)  # two cost tuples
+    ext = min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=1, force=True)
+    assert ext.round2_cost == 3
 
 
 def test_min_cost_extension_validates_its_price_table():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexq import (
     HrInstance,
     Matching,
     NonMutualEdge,
     ParseError,
+    ValidationError,
     bench_hr_instance,
     bench_instance,
     format_matching,
@@ -247,3 +250,74 @@ def test_graph_parsing_orders_vertices_by_first_mention():
 def test_graph_rejects_malformed_inputs(text):
     with pytest.raises(ParseError):
         parse_graph(text)
+
+
+# ---------------------------------------------------------------------------
+# property tests: arbitrary text parses cleanly or fails with a documented error
+
+# fragments of every grammar in this module, so random lines often get far
+# into a parser instead of failing on the first token
+_TOKENS = ["smfq", "hr", "1", "0", "2", "-3", "x", "[agents]", "[programs]",
+           "a1", "a2", "a3", "p1", "p2", "s1", "e1", "e2", ":", "a1:", "->", "-",
+           "cost=0", "cost=2", "cost=-1", "cost=x", "quota=1", "quota=0", "cost=1:",
+           "quota=2:", "elements", "set", "edge", "#", "\t", " ", "é", "a1 -> p1"]
+
+_lines = st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join)
+_grammar_text = st.lists(_lines, max_size=10).map("\n".join)
+
+_instance_files = st.builds(
+    lambda seed, hr: serialize_instance(bench_hr_instance(seed) if hr else bench_instance(seed)),
+    st.integers(min_value=0, max_value=500), st.booleans())
+_matching_files = st.lists(st.sampled_from(["p1", "p2", "-"]), min_size=5, max_size=5).map(
+    lambda progs: "".join(f"a{i} -> {p}\n" for i, p in enumerate(progs, start=1)))
+
+
+@st.composite
+def _mutated(draw, files):
+    """A well-formed file with a few lines dropped, repeated or inserted."""
+    lines = draw(files).splitlines()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(lines)))
+        op = draw(st.sampled_from(["drop", "repeat", "insert"]))
+        if op == "drop" and i < len(lines):
+            del lines[i]
+        elif op == "repeat" and i < len(lines):
+            lines.insert(i, lines[i])
+        elif op == "insert":
+            lines.insert(i, draw(_lines))
+    return "\n".join(lines) + "\n"
+
+
+_any_text = st.one_of(st.text(max_size=200), _grammar_text,
+                      _mutated(_instance_files), _mutated(_matching_files))
+
+
+@given(_any_text)
+@settings(max_examples=200, deadline=None)
+def test_parse_instance_round_trips_or_raises_a_documented_error(text):
+    try:
+        inst = parse_instance(text)
+    except (ParseError, ValidationError):
+        return
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+@given(_any_text)
+@settings(max_examples=150, deadline=None)
+def test_parse_matching_round_trips_or_raises_a_documented_error(text):
+    inst = parse_instance(CANONICAL_H)
+    try:
+        m = parse_matching(text, inst)
+    except (ParseError, ValidationError):
+        return
+    assert parse_matching(format_matching(inst, m), inst) == m
+
+
+@pytest.mark.parametrize("parse", [parse_cost_file, parse_set_cover, parse_graph])
+@given(text=_any_text)
+@settings(max_examples=100, deadline=None)
+def test_auxiliary_parsers_raise_only_documented_errors(parse, text):
+    try:
+        parse(text)
+    except (ParseError, ValidationError):
+        pass

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from flexq import (
+    HrInstance,
     bench_hr_instance,
     gale_shapley_a_optimal,
     gen_fig1,
@@ -78,3 +79,21 @@ def test_same_agents_matched_in_every_stable_matching():
         gs_matched = frozenset(gale_shapley_a_optimal(inst).assignment)
         assert gs_matched in matched_sets
         assert len(matched_sets) == 1
+
+
+def test_programs_missing_from_the_seat_map_take_nobody():
+    for seed in range(40):
+        inst = bench_hr_instance(seed)
+        gone = inst.programs[-1]
+        kept = inst.programs[:-1]
+        seats = {p: inst.quota[p] for p in kept}
+        m = gale_shapley_a_optimal(inst, quota=seats).assignment
+        assert gone not in m.values(), seed
+        assert gale_shapley_a_optimal(inst, quota={**seats, gone: 0}).assignment == m
+        # the same as cutting the program and its edges out of the market
+        cut = HrInstance(list(inst.agents), kept,
+                         {a: [p for p in inst.agent_pref[a] if p != gone] for a in inst.agents},
+                         {p: list(inst.program_pref[p]) for p in kept},
+                         {p: inst.cost[p] for p in kept}, quota=seats)
+        assert m == helpers.deferred_acceptance_naive(cut), seed
+

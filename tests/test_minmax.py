@@ -10,8 +10,10 @@ from flexq import (
     bench_instance,
     build_quota_instance,
     feasible_at,
+    gale_shapley_a_optimal,
     gen_fig1,
     gen_fig2,
+    gen_random,
     is_a_perfect,
     is_envy_free,
     max_cost,
@@ -39,19 +41,16 @@ def test_feasibility_flips_exactly_at_the_threshold():
 
 def test_budgeted_quotas_derived_from_the_threshold():
     _, h = gen_fig1()
-    assert build_quota_instance(h, 4).quota == {"p1": 4, "p2": 2}
-    # at t=1 p2 is priced out: the market drops it together with its edges
+    assert build_quota_instance(h, 4) == {"p1": 4, "p2": 2}
+    # at t=1 p2 is priced out: the seat map leaves it out
     q1 = build_quota_instance(h, 1)
-    assert q1.quota == {"p1": 1}
-    assert q1.programs == ["p1"]
-    assert q1.agent_pref["a5"] == []  # a5 only wanted p2; it may stay unmatched
+    assert q1 == {"p1": 1}
+    assert "a5" not in gale_shapley_a_optimal(h, quota=q1).assignment  # a5 only wanted p2
 
 
 def test_free_programs_get_unbounded_seats():
     inst = gen_fig2(4)  # p0 costs nothing
-    q0 = build_quota_instance(inst, 0)
-    assert q0.quota == {"p0": len(inst.agents)}  # every priced program is out
-    assert q0.programs == ["p0"]
+    assert build_quota_instance(inst, 0) == {"p0": len(inst.agents)}  # every priced program is out
 
 
 def test_zero_threshold_when_everything_is_free():
@@ -94,3 +93,34 @@ def test_matches_brute_force_on_random_markets():
     for seed in range(80):
         inst = bench_instance(seed)
         assert solve_minmax(inst).objective == helpers.brute_min_max(inst), seed
+
+
+def test_seat_maps_agree_with_rebuilt_threshold_markets():
+    """Deferred acceptance under a seat map equals deferred acceptance on a
+    market rebuilt without the priced-out programs, at every threshold."""
+    for seed in range(80):
+        inst = bench_instance(seed)
+        for t in range(len(inst.agents) * max(inst.cost.values()) + 1):
+            got = gale_shapley_a_optimal(inst, quota=build_quota_instance(inst, t)).assignment
+            market = helpers.threshold_market(inst, t)
+            assert got == gale_shapley_a_optimal(market).assignment, (seed, t)
+            assert got == helpers.deferred_acceptance_naive(market), (seed, t)
+
+
+def test_seat_maps_agree_on_larger_markets():
+    """Rosters of dozens of agents put real weight on the per-program heaps."""
+    for seed in range(4):
+        inst = gen_random(200, 12, 4, 9, seed)
+        for t in range(0, len(inst.agents) * 9 + 1, 97):
+            got = gale_shapley_a_optimal(inst, quota=build_quota_instance(inst, t)).assignment
+            assert got == helpers.deferred_acceptance_naive(helpers.threshold_market(inst, t)), (seed, t)
+
+
+def test_crowding_market_settles_on_the_free_program():
+    """Everyone ranks the paid p1 first, but only the free p0 can seat them all."""
+    agents = [f"a{i}" for i in range(2000)]
+    inst = SmfqInstance(agents, ["p0", "p1"], {a: ["p1", "p0"] for a in agents},
+                        {"p0": list(agents), "p1": agents[::-1]}, {"p0": 0, "p1": 1})
+    report = solve_minmax(inst)
+    assert report.objective == 0
+    assert report.matching.assignment == {a: "p0" for a in agents}
