@@ -65,7 +65,7 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
     roster: dict[str, set[str]] = {p: set() for p in instance.programs}
     for a, p in match.items():
         roster[p].add(a)
-    prank = instance._prank
+    prank = instance.prank
 
     for p in instance.programs:
         ranks = prank[p]

@@ -16,16 +16,20 @@ ENV_VAR = "FLEXQ_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Pick the effective budget: explicit argument, then environment, then default."""
-    if budget is not None:
-        return int(budget)
-    raw = os.environ.get(ENV_VAR)
-    if raw is not None:
+    """Pick the effective budget: explicit argument, then environment, then
+    default.  A negative budget from either source raises ValueError."""
+    if budget is None:
+        raw = os.environ.get(ENV_VAR)
+        if raw is None:
+            return DEFAULT_BUDGET
         try:
-            return int(raw)
+            budget = int(raw)
         except ValueError:
             raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
-    return DEFAULT_BUDGET
+    limit = int(budget)
+    if limit < 0:
+        raise ValueError(f"the budget must be non-negative, got {limit}")
+    return limit
 
 
 def check_budget(count: int, budget: int | None, force: bool, what: str) -> None:

@@ -143,6 +143,8 @@ def _ratio(value: int, base: int) -> str:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Cross-check every solver against the oracle on a seeded sweep."""
+    if args.seeds < 0:
+        raise ValueError(f"--seeds must be non-negative, got {args.seeds}")
     out = sys.stdout
     out.write("# seed\tagents\tprograms\texact\toracle\tminmax\toraclemax"
               "\tpromote\trestrict\tviamax\tlb\tpromote_ratio\trestrict_ratio"

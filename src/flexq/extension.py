@@ -92,7 +92,7 @@ def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
 
     a_u = unmatched_agents(round1, m1)
     barriers = {p: barrier(round1, m1, p) for p in round1.programs}
-    prank = round1._prank
+    prank = round1.prank
     adj: dict[str, list[str]] = {}
     for a in a_u:
         keep = []
@@ -179,8 +179,9 @@ def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int],
                        budget: int | None = None, force: bool = False) -> Extension:
     """Match all matchable leftovers while minimizing round-two spend.
 
-    ``round2_costs`` prices each program for the second round; every program
-    that survives in the extension graph must be priced, non-negatively.
+    ``round2_costs`` prices each program for the second round.  Every program
+    left in the extension graph needs a price, and the restricted market's
+    validation raises :class:`NegativeCost` at the first bad one.
     ``budget`` and ``force`` go to the exact total-spend solver, which raises
     :class:`BudgetExceeded` when the restricted market has too many cost
     tuples.
@@ -189,10 +190,6 @@ def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int],
     missing = [p for p in ctx.round1.programs if p in needed and p not in round2_costs]
     if missing:
         raise ValidationError(f"missing round-two cost for program {missing[0]}")
-    for p in needed:
-        c = round2_costs[p]
-        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-            raise ValidationError(f"round-two cost for {p} must be a non-negative integer, got {c!r}")
 
     if not ctx.a_u_matchable:
         dev, d_star = _deviations(ctx.round1, ctx.m1, ctx.m1)

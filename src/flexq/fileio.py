@@ -135,14 +135,13 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
     if section != "programs":
         raise ParseError("missing [programs] section")
 
-    known_a, known_p = set(agents), set(programs)
     for a in agents:
         for p in agent_pref[a]:
-            if p not in known_p:
+            if p not in program_pref:
                 raise ParseError(f"agent {a} references undeclared program {p}")
     for p in programs:
         for a in program_pref[p]:
-            if a not in known_a:
+            if a not in agent_pref:
                 raise ParseError(f"program {p} references undeclared agent {a}")
 
     if kind == "hr":

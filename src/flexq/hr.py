@@ -36,7 +36,7 @@ def gale_shapley_a_optimal(instance: SmfqInstance, proposal_order: list[str] | N
     if quota is None:
         quota = instance.quota
     pref = instance.agent_pref
-    prank = instance._prank
+    prank = instance.prank
     # program -> (tentative roster, seats, ranks); the roster is a heap of
     # (-rank, agent), so the worst tentative agent sits on top
     slots = {p: ([], quota[p], prank[p]) for p in instance.programs if quota.get(p, 0) >= 1}
@@ -47,7 +47,7 @@ def gale_shapley_a_optimal(instance: SmfqInstance, proposal_order: list[str] | N
 
     while free:
         a = free.popleft()
-        lst = pref.get(a, ())
+        lst = pref[a]
         i = nxt[a]
         while i < len(lst):
             p = lst[i]

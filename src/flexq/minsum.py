@@ -41,7 +41,7 @@ def prune(instance: SmfqInstance, adjsets: dict[str, set[str]], agent_order: lis
     order = instance.agents if agent_order is None else agent_order
     pref = instance.agent_pref
     ppref = instance.program_pref
-    prank = instance._prank
+    prank = instance.prank
     changed = True
     while changed:
         changed = False

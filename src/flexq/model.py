@@ -28,13 +28,6 @@ from .errors import (
 )
 
 
-def _positions(lst: list[str]) -> dict[str, int]:
-    pos: dict[str, int] = {}
-    for i, x in enumerate(lst):
-        pos.setdefault(x, i)
-    return pos
-
-
 @dataclass
 class SmfqInstance:
     """A two-sided market with per-program costs and no quotas.
@@ -42,8 +35,11 @@ class SmfqInstance:
     ``agents`` and ``programs`` fix identifier order; every deterministic
     iteration in the package follows these lists.  ``agent_pref[a]`` and
     ``program_pref[p]`` are strict preference lists, most preferred first.
-    Missing cost entries default to 0.  Instances are treated as immutable
-    values once constructed.
+    Construction keeps one list and one cost per declared id, in order: a
+    missing list is ``[]``, a missing cost 0, undeclared keys are dropped.
+    The rank tables ``arank[a][p]`` and ``prank[p][a]`` give a name's
+    position on the other side's list (0 = most preferred; absent = not
+    listed).  Instances are treated as immutable values once constructed.
     """
 
     agents: list[str]
@@ -52,24 +48,19 @@ class SmfqInstance:
     program_pref: dict[str, list[str]]
     cost: dict[str, int] = field(default_factory=dict)
 
-    _arank: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _prank: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    arank: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False, default_factory=dict)
+    prank: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        alists, plists = self.agent_pref, self.program_pref
+        self.agent_pref = {a: alists.get(a, []) for a in self.agents}
+        self.program_pref = {p: plists.get(p, []) for p in self.programs}
         self.cost = {p: self.cost.get(p, 0) for p in self.programs}
-        self._arank = {a: _positions(self.agent_pref.get(a, [])) for a in self.agents}
-        self._prank = {p: _positions(self.program_pref.get(p, [])) for p in self.programs}
-
-    def agent_rank(self, agent: str, program: str) -> int:
-        """Position of ``program`` on the agent's list (0 = most preferred)."""
-        return self._arank[agent][program]
-
-    def program_rank(self, program: str, agent: str) -> int:
-        """Position of ``agent`` on the program's list (0 = most preferred)."""
-        return self._prank[program][agent]
+        self.arank = {a: {p: i for i, p in enumerate(lst)} for a, lst in self.agent_pref.items()}
+        self.prank = {p: {a: i for i, a in enumerate(lst)} for p, lst in self.program_pref.items()}
 
     def is_acceptable(self, agent: str, program: str) -> bool:
-        return program in self._arank.get(agent, ())
+        return program in self.arank.get(agent, ())
 
     def agent_prefers(self, agent: str, program: str, current: str | None) -> bool:
         """True when the agent strictly prefers ``program`` to ``current``.
@@ -77,10 +68,10 @@ class SmfqInstance:
         ``current=None`` means the agent is unmatched and loses to anything
         acceptable.  ``program`` must be on the agent's list.
         """
-        r = self._arank[agent][program]
+        r = self.arank[agent][program]
         if current is None:
             return True
-        return r < self._arank[agent][current]
+        return r < self.arank[agent][current]
 
 
 @dataclass
@@ -159,29 +150,27 @@ def validate(instance: SmfqInstance) -> None:
     if len(set(instance.programs)) != len(instance.programs):
         raise DuplicateInList("instance declares a duplicate program identifier")
 
-    agent_sets = {a: set(instance.agent_pref.get(a, [])) for a in instance.agents}
-    program_sets = {p: set(instance.program_pref.get(p, [])) for p in instance.programs}
-
-    for a in instance.agents:
-        for p in instance.agent_pref.get(a, []):
-            if p not in program_sets or a not in program_sets[p]:
+    arank, prank = instance.arank, instance.prank
+    # a list may name an undeclared id, which has no rank table
+    for a, lst in instance.agent_pref.items():
+        for p in lst:
+            if a not in prank.get(p, ()):
                 raise NonMutualEdge(f"agent {a} lists {p}, but {p} does not list {a}")
-    for p in instance.programs:
-        for a in instance.program_pref.get(p, []):
-            if a not in agent_sets or p not in agent_sets[a]:
+    for p, lst in instance.program_pref.items():
+        for a in lst:
+            if p not in arank.get(a, ()):
                 raise NonMutualEdge(f"program {p} lists {a}, but {a} does not list {p}")
 
-    for a in instance.agents:
-        lst = instance.agent_pref.get(a, [])
-        if len(set(lst)) != len(lst):
+    # a rank table keeps one entry per distinct name
+    for a, lst in instance.agent_pref.items():
+        if len(arank[a]) != len(lst):
             raise DuplicateInList(f"agent {a} repeats an entry in its preference list")
-    for p in instance.programs:
-        lst = instance.program_pref.get(p, [])
-        if len(set(lst)) != len(lst):
+    for p, lst in instance.program_pref.items():
+        if len(prank[p]) != len(lst):
             raise DuplicateInList(f"program {p} repeats an entry in its preference list")
 
-    for a in instance.agents:
-        if not instance.agent_pref.get(a, []):
+    for a, lst in instance.agent_pref.items():
+        if not lst:
             raise EmptyAgentList(f"agent {a} has an empty preference list")
 
     for p in instance.programs:
@@ -205,7 +194,7 @@ def _check_assigned_acceptable(instance: SmfqInstance, matching: Matching) -> No
 def _roster_worst(instance: SmfqInstance, assignment: dict[str, str]) -> dict[str, int]:
     """For each program with a non-empty roster, the rank of its worst member."""
     worst: dict[str, int] = {}
-    prank = instance._prank
+    prank = instance.prank
     for a, p in assignment.items():
         r = prank[p][a]
         if worst.get(p, -1) < r:
@@ -217,12 +206,11 @@ def _scan(instance: SmfqInstance, assignment: dict[str, str], worst: dict[str, i
     """Every pair (a, p) where a prefers p to its assignment and
     ``worst[p]`` exceeds a's rank at p, ordered by (agent position, program
     position) in the instance."""
-    prank = instance._prank
+    arank, prank = instance.arank, instance.prank
     violations: list[tuple[str, str]] = []
-    for a in instance.agents:
-        lst = instance.agent_pref.get(a, [])
+    for a, lst in instance.agent_pref.items():
         cur = assignment.get(a)
-        limit = instance._arank[a][cur] if cur is not None else len(lst)
+        limit = arank[a][cur] if cur is not None else len(lst)
         for p in lst[:limit]:
             if worst.get(p, -1) > prank[p][a]:
                 violations.append((a, p))
@@ -261,7 +249,7 @@ def is_hr_stable(instance: HrInstance, matching: Matching) -> StabilityCheck:
     worst = _roster_worst(instance, assignment)
     for p in instance.programs:
         if sizes.get(p, 0) < instance.quota[p]:
-            worst[p] = len(instance.program_pref.get(p, []))
+            worst[p] = len(instance.program_pref[p])
     return _scan(instance, assignment, worst)
 
 

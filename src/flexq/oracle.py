@@ -38,7 +38,7 @@ def enumerate_a_perfect_stable(
     its preference order.  Raises :class:`BudgetExceeded` upfront when the
     full assignment space tops the budget, unless forced.
     """
-    space = math.prod(len(instance.agent_pref.get(a, [])) for a in instance.agents)
+    space = math.prod(len(instance.agent_pref[a]) for a in instance.agents)
     check_budget(space, budget, force, "assignments")
     return _stable_assignments(instance)
 
@@ -50,15 +50,14 @@ def _stable_assignments(instance: SmfqInstance) -> Iterator[Matching]:
     agents = instance.agents
     n = len(agents)
     pref = instance.agent_pref
-    arank = instance._arank
-    prank = instance._prank
+    arank, prank = instance.arank, instance.prank
     assignment: dict[str, str] = {}
     members: dict[str, list[int]] = {p: [] for p in instance.programs}
     enviers: dict[str, list[int]] = {p: [] for p in instance.programs}
     cands: list[Iterator[str] | None] = [None] * n
     watched: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     if n:
-        cands[0] = iter(pref.get(agents[0], []))
+        cands[0] = iter(pref[agents[0]])
     i = 0
     while i >= 0:
         if i == n:
@@ -71,7 +70,7 @@ def _stable_assignments(instance: SmfqInstance) -> Iterator[Matching]:
             members[p].pop()
             for q, _ in watched[i]:
                 enviers[q].pop()
-        lst = pref.get(a, [])
+        lst = pref[a]
         for p in cands[i]:
             rp = prank[p][a]
             env = enviers[p]
@@ -96,7 +95,7 @@ def _stable_assignments(instance: SmfqInstance) -> Iterator[Matching]:
             watched[i] = w
             i += 1
             if i < n:
-                cands[i] = iter(pref.get(agents[i], []))
+                cands[i] = iter(pref[agents[i]])
             break
         else:
             i -= 1
@@ -137,7 +136,7 @@ def enumerate_hr_stable(
     overflow; stability, whose under-subscription side depends on the final
     rosters, is checked once each assignment is complete.
     """
-    space = math.prod(len(instance.agent_pref.get(a, [])) + 1 for a in instance.agents)
+    space = math.prod(len(instance.agent_pref[a]) + 1 for a in instance.agents)
     check_budget(space, budget, force, "assignments")
     return _hr_stable_assignments(instance)
 
@@ -153,7 +152,7 @@ def _hr_stable_assignments(instance: HrInstance) -> Iterator[Matching]:
     sizes: dict[str, int] = {p: 0 for p in instance.programs}
     cands: list[Iterator[str | None] | None] = [None] * n
     if n:
-        cands[0] = chain(pref.get(agents[0], []), (None,))
+        cands[0] = chain(pref[agents[0]], (None,))
     i = 0
     while i >= 0:
         if i == n:
@@ -176,4 +175,4 @@ def _hr_stable_assignments(instance: HrInstance) -> Iterator[Matching]:
             sizes[p] += 1
         i += 1
         if i < n:
-            cands[i] = chain(pref.get(agents[i], []), (None,))
+            cands[i] = chain(pref[agents[i]], (None,))

@@ -207,6 +207,16 @@ def test_gen_reductions_from_input_files(capsys, tmp_path):
     assert "p_u cost=3" in out
 
 
+def test_negative_counts_exit_2(capsys, fig1_h, monkeypatch):
+    code, _, err = run(capsys, "oracle", "minsum", "--budget", "-1", fig1_h)
+    assert code == 2 and "non-negative" in err
+    code, _, err = run(capsys, "bench", "--suite", "small", "--seeds", "-5")
+    assert code == 2 and "non-negative" in err
+    monkeypatch.setenv("FLEXQ_BUDGET", "-1")
+    code, _, err = run(capsys, "oracle", "minsum", fig1_h)
+    assert code == 2 and "non-negative" in err
+
+
 def test_gen_parameter_errors_exit_2(capsys):
     code, _, err = run(capsys, "gen", "fig2", "--n", "1")
     assert code == 2 and err

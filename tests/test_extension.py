@@ -8,6 +8,7 @@ from flexq import (
     BudgetExceeded,
     HrInstance,
     Matching,
+    NegativeCost,
     NotStable,
     QuotaViolated,
     ValidationError,
@@ -102,6 +103,9 @@ def test_min_cost_extension_validates_its_price_table():
     assert "p2" in str(err.value)
     with pytest.raises(ValidationError):
         min_cost_extension(ctx, {"p1": 1, "p2": -2})
+    # with several bad prices, the first program in instance order is named
+    with pytest.raises(NegativeCost, match="program p1 "):
+        min_cost_extension(ctx, {"p1": -1, "p2": -2})
 
 
 def unextendable_market() -> HrInstance:

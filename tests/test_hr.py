@@ -68,7 +68,7 @@ def test_agent_optimality_among_all_stable_matchings():
                 if theirs is None:
                     continue
                 assert mine is not None, (seed, a)
-                assert inst.agent_rank(a, mine) <= inst.agent_rank(a, theirs), (seed, a)
+                assert inst.arank[a][mine] <= inst.arank[a][theirs], (seed, a)
 
 
 def test_same_agents_matched_in_every_stable_matching():

@@ -52,6 +52,13 @@ def test_cost_normalization_fills_missing_with_zero():
     inst = SmfqInstance(["a1"], ["p1"], {"a1": ["p1"]}, {"p1": ["a1"]}, cost={})
     assert inst.cost == {"p1": 0}
     validate(inst)
+    # lists normalize the same way: a missing list is empty, and a list
+    # keyed by an undeclared id is dropped
+    inst = SmfqInstance(["a1", "a2"], ["p1"], {"a1": ["p1"], "zz": ["p1"]}, {"p1": ["a1"]})
+    assert inst.agent_pref == {"a1": ["p1"], "a2": []}
+    assert inst.arank["a2"] == {}
+    with pytest.raises(EmptyAgentList, match="agent a2"):
+        validate(inst)
 
 
 def test_validate_accepts_canonical_instances():
@@ -86,6 +93,25 @@ def test_validate_rejects_non_mutual_edges_both_directions():
                         {"a1": ["p1"], "a2": []}, {"p1": ["a1", "a2"]}, {})
     with pytest.raises(NonMutualEdge):
         validate(inst)
+    # a list naming an undeclared partner, which has no rank table
+    inst = SmfqInstance(["a1"], ["p1"], {"a1": ["p1"]}, {"p1": ["a1", "zz"]}, {})
+    with pytest.raises(NonMutualEdge, match="program p1 lists zz"):
+        validate(inst)
+    inst = SmfqInstance(["a1"], ["p1"], {"a1": ["p1", "p9"]}, {"p1": ["a1"]}, {})
+    with pytest.raises(NonMutualEdge, match="agent a1 lists p9"):
+        validate(inst)
+
+
+@pytest.mark.parametrize("agent_pref, program_pref, error", [
+    # a non-mutual edge (a2 -> p2) is reported before a1's duplicate
+    ({"a1": ["p1", "p1"], "a2": ["p1", "p2"]}, {"p1": ["a1", "a2"], "p2": []}, NonMutualEdge),
+    # a duplicate (a2 repeats p1) is reported before a1's empty list
+    ({"a1": [], "a2": ["p1", "p1"]}, {"p1": ["a2"], "p2": []}, DuplicateInList),
+])
+def test_validate_reports_the_first_check_in_documented_order(agent_pref, program_pref, error):
+    inst = SmfqInstance(["a1", "a2"], ["p1", "p2"], agent_pref, program_pref, {})
+    with pytest.raises(error):
+        validate(inst)
 
 
 def test_validate_rejects_empty_agent_list():
@@ -117,10 +143,8 @@ def test_validate_rejects_missing_or_nonpositive_quota(quota):
 
 def test_rank_lookups_follow_list_positions():
     inst = tiny()
-    assert inst.agent_rank("a1", "p1") == 0
-    assert inst.agent_rank("a1", "p2") == 1
-    assert inst.program_rank("p2", "a2") == 0
-    assert inst.program_rank("p2", "a1") == 1
+    assert inst.arank["a1"] == {"p1": 0, "p2": 1}
+    assert inst.prank["p2"] == {"a2": 0, "a1": 1}
     assert inst.is_acceptable("a1", "p2")
     assert not inst.is_acceptable("a2", "p1")
 
