@@ -13,8 +13,11 @@ Subcommands::
 Solver output is a matching file (one ``agent -> program`` line per agent,
 in instance order) followed by ``# objective=``, ``# method=``, and
 ``# certified=`` trailers.  Exit codes: 0 success, 2 parse or validation
-error, 3 search budget exceeded, 4 internal invariant violation.  Identical
-argv and file contents produce byte-identical stdout.
+error, 3 resources exhausted (search budget exceeded or ``MemoryError``), 4
+internal invariant violation (including ``RecursionError``: no code path
+recurses with the input size).  Failures print one ``error:`` line to stderr,
+never a traceback.  Identical argv and file contents produce byte-identical
+stdout.
 """
 
 from __future__ import annotations
@@ -285,9 +288,12 @@ def cli(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
+    except RecursionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4

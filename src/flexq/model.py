@@ -118,13 +118,19 @@ OBJECTIVE_KINDS = ("total_cost", "max_cost", "max_deviation")
 
 @dataclass
 class SolveReport:
-    """A solver result: the matching plus the objective it was scored on."""
+    """A solver result: the matching plus the objective it was scored on.
+
+    ``stats`` holds deterministic work counters where a solver reports them
+    (``solve_minsum_exact``: ``tuples``, ``nodes``, ``leaves``); equality
+    ignores it.
+    """
 
     matching: Matching
     objective: int
     objective_kind: str
     method: str
     certified_optimal: bool
+    stats: dict[str, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.objective_kind not in OBJECTIVE_KINDS:

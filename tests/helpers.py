@@ -2,14 +2,16 @@
 
 Everything here is written independently of the package internals — naive
 list scans and brute-force enumeration only — so agreement between these
-helpers and the library is meaningful evidence, not circularity.
+helpers and the library is meaningful evidence, not circularity.  The one
+exception is ``minsum_by_enumeration``: it reuses the library's envy pruning
+to check the exact solver's search, while the oracle checks the pruning.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from flexq import HrInstance, SmfqInstance
+from flexq import HrInstance, Matching, SmfqInstance, distinct_costs_per_agent, prune
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,32 @@ def brute_min_vertex_cover(vertices: list[str], edges: list[tuple[str, str]]) ->
             if all(u in chosen or v in chosen for u, v in edges):
                 return k
     raise AssertionError("unreachable: all vertices always cover")
+
+
+def tuple_graph(instance: SmfqInstance, choice: tuple[int, ...]) -> dict[str, set[str]]:
+    """Each agent's programs at exactly the cost level chosen for it."""
+    return {a: {p for p in instance.agent_pref[a] if instance.cost[p] == c}
+            for a, c in zip(instance.agents, choice)}
+
+
+def surviving_cost_tuples(instance: SmfqInstance):
+    """Yield ``(spend, assignment)`` for every cost tuple that survives envy
+    pruning, in ascending lexicographic tuple order; each tuple is pruned
+    from scratch and every agent takes its best surviving program."""
+    for choice in itertools.product(*distinct_costs_per_agent(instance)):
+        adjsets = tuple_graph(instance, choice)
+        if prune(instance, adjsets) is not None:
+            continue
+        assignment = {a: next(p for p in instance.agent_pref[a] if p in adjsets[a])
+                      for a in instance.agents}
+        yield sum(instance.cost[p] for p in assignment.values()), assignment
+
+
+def minsum_by_enumeration(instance: SmfqInstance) -> tuple[int, Matching]:
+    """Exact total spend over the whole product of per-agent cost levels;
+    ties keep the first optimal tuple."""
+    spend, assignment = min(surviving_cost_tuples(instance), key=lambda t: t[0])
+    return spend, Matching(assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,18 @@ def test_internal_invariant_violations_exit_4(capsys, fig1_h, monkeypatch):
     assert "invariant" in err
 
 
+@pytest.mark.parametrize("exc, code", [(MemoryError, 3), (RecursionError, 4)])
+def test_resource_errors_exit_without_a_traceback(capsys, fig1_h, monkeypatch, exc, code):
+    def boom(instance, budget=None, force=False):
+        raise exc
+    monkeypatch.setattr("flexq.cli.solve_minsum_exact", boom)
+    got, out, err = run(capsys, "solve", "minsum", "--method=exact", fig1_h)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_internal_invariants_survive_optimized_mode(fig1_h):
     # python -O strips assert statements; a broken invariant must still exit 4
     script = ("import sys\n"

@@ -1,4 +1,4 @@
-"""Exact total-spend minimization: cost-tuple enumeration with envy pruning."""
+"""Exact total-spend minimization: branch-and-bound over cost levels with envy pruning."""
 
 from __future__ import annotations
 
@@ -9,14 +9,20 @@ import pytest
 import helpers
 from flexq import (
     BudgetExceeded,
+    SetCoverInstance,
     SmfqInstance,
+    approx_promote,
+    approx_restrict,
     bench_instance,
     distinct_costs_per_agent,
     gen_fig1,
     gen_fig2,
+    gen_master_list,
+    gen_random,
     is_a_perfect,
     is_envy_free,
     prune,
+    reduce_set_cover,
     solve_minsum_exact,
     total_cost,
 )
@@ -27,22 +33,16 @@ def test_distinct_cost_levels_per_agent():
     assert distinct_costs_per_agent(h) == [[1, 2], [1, 2], [1, 2], [1, 2], [2]]
 
 
-def tuple_graph(instance: SmfqInstance, choice: tuple[int, ...]) -> dict[str, set[str]]:
-    """Each agent's programs at exactly the cost level chosen for it."""
-    return {a: {p for p in instance.agent_pref[a] if instance.cost[p] == c}
-            for a, c in zip(instance.agents, choice)}
-
-
 def test_pruning_isolates_the_overpriced_agent():
     # everyone else camps on the cheap program, so a5 cannot keep its seat:
     # a2 would envy anyone below it sitting at p2
     _, h = gen_fig1()
-    assert prune(h, tuple_graph(h, (1, 1, 1, 1, 2))) == "a5"
+    assert prune(h, helpers.tuple_graph(h, (1, 1, 1, 1, 2))) == "a5"
 
 
 def test_pruning_fixed_point_for_the_optimal_tuple():
     _, h = gen_fig1()
-    adjsets = tuple_graph(h, (1, 2, 1, 1, 2))
+    adjsets = helpers.tuple_graph(h, (1, 2, 1, 1, 2))
     assert prune(h, adjsets) is None
     assert adjsets == {"a1": {"p1"}, "a2": {"p2"}, "a3": {"p1"},
                        "a4": {"p1"}, "a5": {"p2"}}
@@ -50,10 +50,10 @@ def test_pruning_fixed_point_for_the_optimal_tuple():
 
 def test_pruned_fixed_point_is_order_independent():
     _, h = gen_fig1()
-    base = tuple_graph(h, (1, 2, 1, 1, 2))
+    base = helpers.tuple_graph(h, (1, 2, 1, 1, 2))
     prune(h, base)
     for order in itertools.permutations(h.agents):
-        adjsets = tuple_graph(h, (1, 2, 1, 1, 2))
+        adjsets = helpers.tuple_graph(h, (1, 2, 1, 1, 2))
         assert prune(h, adjsets, agent_order=list(order)) is None
         assert adjsets == base
 
@@ -94,23 +94,80 @@ def test_matches_brute_force_on_random_markets():
 
 
 def test_returns_the_first_optimal_tuple_in_ascending_order():
-    """Re-run the enumeration by hand and confirm the tie-breaking rule."""
-    for seed in range(25):
+    """Walk the whole tuple product and confirm the tie-breaking rule."""
+    for seed in range(500):
         inst = bench_instance(seed)
-        expected = None
-        expected_cost = None
-        for choice in itertools.product(*distinct_costs_per_agent(inst)):
-            adjsets = tuple_graph(inst, choice)
-            if prune(inst, adjsets) is not None:
-                continue
-            assignment = {a: next(p for p in inst.agent_pref[a] if p in adjsets[a])
-                          for a in inst.agents}
-            c = sum(inst.cost[p] for p in assignment.values())
-            if expected_cost is None or c < expected_cost:
-                expected, expected_cost = assignment, c
         report = solve_minsum_exact(inst)
-        assert report.matching.assignment == expected, seed
-        assert report.objective == expected_cost, seed
+        assert (report.objective, report.matching) == helpers.minsum_by_enumeration(inst), seed
+
+
+def test_agrees_with_enumeration_on_twelve_agent_markets():
+    for seed in range(10):
+        for gen in (gen_random, gen_master_list):
+            inst = gen(12, 5, 2, 4, seed)
+            report = solve_minsum_exact(inst)
+            assert (report.objective, report.matching) == helpers.minsum_by_enumeration(inst), (gen, seed)
+
+
+def test_agrees_with_enumeration_on_set_cover_reductions():
+    for m in range(2, 5):
+        set_ids = [f"s{i}" for i in range(1, m + 1)]
+        pairs = list(itertools.combinations(range(m), 2))
+        for n in range(1, 4):
+            for combo in itertools.combinations_with_replacement(pairs, n):
+                sets: dict[str, list[str]] = {s: [] for s in set_ids}
+                for j, (x, y) in enumerate(combo, start=1):
+                    sets[set_ids[x]].append(f"e{j}")
+                    sets[set_ids[y]].append(f"e{j}")
+                elements = [f"e{j}" for j in range(1, n + 1)]
+                inst = reduce_set_cover(SetCoverInstance(sets=sets, elements=elements, f=2))
+                report = solve_minsum_exact(inst)
+                assert (report.objective, report.matching) == helpers.minsum_by_enumeration(inst), sets
+
+
+def test_first_optimal_tuple_wins_when_the_seed_equals_the_optimum():
+    # tuples (a1, a2) by level: (1, 2) is envious, (1, 3) and (2, 2) both
+    # spend 4, and the approximations find (2, 2), so the seed is the optimum
+    inst = SmfqInstance(
+        agents=["a1", "a2"],
+        programs=["p1", "p2", "p3"],
+        agent_pref={"a1": ["p2", "p3"], "a2": ["p2", "p1"]},
+        program_pref={"p1": ["a2"], "p2": ["a1", "a2"], "p3": ["a1"]},
+        cost={"p1": 3, "p2": 2, "p3": 1},
+    )
+    for approx in (approx_promote, approx_restrict):
+        rep = approx(inst)
+        assert (rep.objective, rep.matching.assignment) == (4, {"a1": "p2", "a2": "p2"})
+    report = solve_minsum_exact(inst)
+    assert report.objective == 4
+    assert report.matching.assignment == {"a1": "p3", "a2": "p1"}
+    assert (report.objective, report.matching) == helpers.minsum_by_enumeration(inst)
+
+
+def test_search_visits_a_sliver_of_a_large_product():
+    inst = gen_random(16, 8, 3, 9, 3)
+    report = solve_minsum_exact(inst)
+    assert report.objective == 10  # recorded by full enumeration
+    assert report.stats["tuples"] == 2_519_424
+    assert 0 < report.stats["leaves"] <= report.stats["nodes"] < report.stats["tuples"] // 100
+    assert approx_promote(inst).stats == {}
+
+
+def test_deep_single_level_market_solves_without_recursion():
+    # one cost level per agent: a single tuple, far deeper than the recursion limit
+    n = 3000
+    agents = [f"a{i}" for i in range(n)]
+    inst = SmfqInstance(
+        agents=agents,
+        programs=["p1", "p2"],
+        agent_pref={a: ["p1", "p2"] for a in agents},
+        program_pref={"p1": list(agents), "p2": list(agents)},
+        cost={"p1": 1, "p2": 1},
+    )
+    report = solve_minsum_exact(inst)
+    assert report.objective == n
+    assert report.stats == {"tuples": 1, "nodes": 1, "leaves": 1}
+    assert set(report.matching.assignment.values()) == {"p1"}
 
 
 # ---------------------------------------------------------------------------
