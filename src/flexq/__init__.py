@@ -23,10 +23,9 @@ The package provides:
 
 from __future__ import annotations
 
-from .approx import (MinCostChoice, approx_promote, approx_restrict,
-                     approx_via_minmax, lower_bound_sum, min_cost_choice,
-                     min_cost_program)
-from .budget import DEFAULT_BUDGET, resolve_budget
+from .approx import (approx_promote, approx_restrict, approx_via_minmax,
+                     lower_bound_sum, min_cost_choice, min_cost_program)
+from .budget import DEFAULT_BUDGET
 from .errors import (BudgetExceeded, DuplicateInList, EmptyAgentList,
                      FlexqError, NegativeCost, NonMutualEdge, NotStable,
                      ParseError, QuotaViolated, ValidationError, ZeroQuota)
@@ -44,8 +43,8 @@ from .hr import gale_shapley_a_optimal, unmatched_agents
 from .minmax import build_quota_instance, feasible_at, solve_minmax
 from .minsum import distinct_costs_per_agent, prune, solve_minsum_exact
 from .model import (HrInstance, Matching, SmfqInstance, SolveReport,
-                    StabilityCheck, is_a_perfect, is_envy_free, is_hr_stable,
-                    max_cost, top_choice_matching, total_cost, validate)
+                    is_a_perfect, is_envy_free, is_hr_stable, max_cost,
+                    total_cost, validate)
 from .oracle import (enumerate_a_perfect_stable, enumerate_hr_stable,
                      oracle_minmax, oracle_minsum)
 
@@ -62,7 +61,6 @@ __all__ = [
     "GraphInstance",
     "HrInstance",
     "Matching",
-    "MinCostChoice",
     "NegativeCost",
     "NonMutualEdge",
     "NotStable",
@@ -71,7 +69,6 @@ __all__ = [
     "SetCoverInstance",
     "SmfqInstance",
     "SolveReport",
-    "StabilityCheck",
     "ValidationError",
     "ZeroQuota",
     "approx_promote",
@@ -115,11 +112,9 @@ __all__ = [
     "prune",
     "reduce_set_cover",
     "reduce_vertex_cover",
-    "resolve_budget",
     "serialize_instance",
     "solve_minmax",
     "solve_minsum_exact",
-    "top_choice_matching",
     "total_cost",
     "unmatched_agents",
     "validate",

@@ -103,17 +103,14 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     ctx = compute_extendable(instance, round1)
     if args.objective == "deviation":
         ext = min_deviation_extension(ctx)
-        objective, method = ext.d_star, "extend-deviation"
+        report = SolveReport(ext.m2, ext.d_star, "max_deviation", "extend-deviation",
+                             certified_optimal=True)
     else:
         costs = parse_cost_file(_read(args.costs)) if args.costs else dict(instance.cost)
         ext = min_cost_extension(ctx, costs, budget=args.budget, force=args.force)
-        objective, method = ext.round2_cost, "extend-cost"
-    sys.stdout.write(format_matching(instance, ext.m2, notes=[
-        ("objective", objective),
-        ("method", method),
-        ("certified", True),
-    ]))
-    return 0
+        report = SolveReport(ext.m2, ext.round2_cost, "total_cost", "extend-cost",
+                             certified_optimal=True)
+    return _emit_report(instance, report)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ minimize the total round-two cost under fresh per-program prices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotStable, ValidationError
 from .minmax import solve_minmax
@@ -43,13 +43,16 @@ class ExtensionContext:
     a_u: list[str]
     barriers: dict[str, str | None]
     g_m: dict[str, list[str]]
-    a_u_matchable: list[str]
+
+    @property
+    def a_u_matchable(self) -> list[str]:
+        """Unmatched agents some stable extension can match."""
+        return [a for a in self.a_u if self.g_m[a]]
 
     @property
     def unextendable(self) -> list[str]:
         """Unmatched agents every stable extension must leave unmatched."""
-        matchable = set(self.a_u_matchable)
-        return [a for a in self.a_u if a not in matchable]
+        return [a for a in self.a_u if not self.g_m[a]]
 
 
 @dataclass
@@ -102,33 +105,23 @@ def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
                 continue  # below the barrier: joining p would make b envious
             keep.append(p)
         adj[a] = keep
-    return ExtensionContext(
-        round1=round1,
-        m1=m1,
-        a_u=a_u,
-        barriers=barriers,
-        g_m=adj,
-        a_u_matchable=[a for a in a_u if adj[a]],
-    )
+    return ExtensionContext(round1=round1, m1=m1, a_u=a_u, barriers=barriers, g_m=adj)
 
 
-def _deviations(round1: HrInstance, m1: Matching, m2: Matching) -> tuple[dict[str, int], int]:
-    s1 = Counter(m1.assignment.values())
-    s2 = Counter(m2.assignment.values())
-    dev = {p: s2.get(p, 0) - s1.get(p, 0) for p in round1.programs}
-    return dev, max(dev.values(), default=0)
-
-
-def _merge(ctx: ExtensionContext, extra: dict[str, str]) -> Matching:
-    merged = dict(ctx.m1.assignment)
-    merged.update(extra)
-    return Matching({a: merged[a] for a in ctx.round1.agents if a in merged})
+def _extension(ctx: ExtensionContext, extra: dict[str, str], round2_cost: int | None = None) -> Extension:
+    """Round one plus the leftover agents placed by ``extra``; each program's
+    overflow is the number of leftovers it takes on."""
+    merged = ctx.m1.assignment | extra
+    added = Counter(extra.values())
+    dev = {p: added[p] for p in ctx.round1.programs}
+    return Extension(m2=Matching({a: merged[a] for a in ctx.round1.agents if a in merged}),
+                     deviation=dev, d_star=max(dev.values(), default=0), round2_cost=round2_cost)
 
 
 def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInstance:
     """The extension graph as a standalone cost market for the round-two solvers."""
     adj = ctx.g_m
-    agents = list(ctx.a_u_matchable)
+    agents = ctx.a_u_matchable
     onlist = {a: set(adj[a]) for a in agents}
     programs = [p for p in ctx.round1.programs if any(p in onlist[a] for a in agents)]
     inst = SmfqInstance(
@@ -151,10 +144,7 @@ def largest_extension(ctx: ExtensionContext) -> Extension:
     This extends the matching to the full matchable set; no stable extension
     can match an agent outside it.
     """
-    extra = {a: ctx.g_m[a][0] for a in ctx.a_u_matchable}
-    m2 = _merge(ctx, extra)
-    dev, d_star = _deviations(ctx.round1, ctx.m1, m2)
-    return Extension(m2=m2, deviation=dev, d_star=d_star)
+    return _extension(ctx, {a: ctx.g_m[a][0] for a in ctx.a_u_matchable})
 
 
 def min_deviation_extension(ctx: ExtensionContext) -> Extension:
@@ -163,16 +153,11 @@ def min_deviation_extension(ctx: ExtensionContext) -> Extension:
     Runs the exact max-spend solver on the extension graph with unit costs,
     so a program's spend there is exactly how many new agents it takes on.
     """
-    if not ctx.a_u_matchable:
-        dev, d_star = _deviations(ctx.round1, ctx.m1, ctx.m1)
-        return Extension(m2=ctx.m1, deviation=dev, d_star=d_star)
-    sub = _restricted_market(ctx, {p: 1 for p in ctx.round1.programs})
-    rep = solve_minmax(sub)
-    m2 = _merge(ctx, rep.matching.assignment)
-    dev, d_star = _deviations(ctx.round1, ctx.m1, m2)
-    if d_star != rep.objective:
-        raise AssertionError(f"largest overflow {d_star} differs from the solver's optimum {rep.objective}")
-    return Extension(m2=m2, deviation=dev, d_star=d_star)
+    rep = solve_minmax(_restricted_market(ctx, {p: 1 for p in ctx.round1.programs}))
+    ext = _extension(ctx, rep.matching.assignment)
+    if ext.d_star != rep.objective:
+        raise AssertionError(f"largest overflow {ext.d_star} differs from the solver's optimum {rep.objective}")
+    return ext
 
 
 def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int],
@@ -192,10 +177,7 @@ def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int],
         raise ValidationError(f"missing round-two cost for program {missing[0]}")
 
     if not ctx.a_u_matchable:
-        dev, d_star = _deviations(ctx.round1, ctx.m1, ctx.m1)
-        return Extension(m2=ctx.m1, deviation=dev, d_star=d_star, round2_cost=0)
-    sub = _restricted_market(ctx, dict(round2_costs))
-    rep = solve_minsum_exact(sub, budget=budget, force=force)
-    m2 = _merge(ctx, rep.matching.assignment)
-    dev, d_star = _deviations(ctx.round1, ctx.m1, m2)
-    return Extension(m2=m2, deviation=dev, d_star=d_star, round2_cost=rep.objective)
+        # an empty market still counts one cost tuple, which budget 0 would refuse
+        return _extension(ctx, {}, round2_cost=0)
+    rep = solve_minsum_exact(_restricted_market(ctx, dict(round2_costs)), budget=budget, force=force)
+    return _extension(ctx, rep.matching.assignment, rep.objective)

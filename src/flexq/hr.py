@@ -18,8 +18,7 @@ from heapq import heappush, heapreplace
 from .model import HrInstance, Matching, SmfqInstance
 
 
-def gale_shapley_a_optimal(instance: SmfqInstance, proposal_order: list[str] | None = None,
-                           quota: dict[str, int] | None = None) -> Matching:
+def gale_shapley_a_optimal(instance: SmfqInstance, quota: dict[str, int] | None = None) -> Matching:
     """Run agent-proposing deferred acceptance.
 
     ``quota`` maps programs to seats and defaults to ``instance.quota``
@@ -28,11 +27,9 @@ def gale_shapley_a_optimal(instance: SmfqInstance, proposal_order: list[str] | N
     cut from the market together with its edges.  This lets one cost
     market serve every threshold of the max-spend search without a copy.
 
-    ``proposal_order`` reorders the initial proposal queue; the returned
-    matching is the same for every order (the tests shuffle it).  Agents whose
-    lists run out stay unmatched.
+    Agents propose in instance order; the returned matching is the same for
+    every declared order.  Agents whose lists run out stay unmatched.
     """
-    order = list(instance.agents) if proposal_order is None else list(proposal_order)
     if quota is None:
         quota = instance.quota
     pref = instance.agent_pref
@@ -43,7 +40,7 @@ def gale_shapley_a_optimal(instance: SmfqInstance, proposal_order: list[str] | N
 
     nxt = dict.fromkeys(instance.agents, 0)
     match: dict[str, str] = {}
-    free = deque(order)
+    free = deque(instance.agents)
 
     while free:
         a = free.popleft()

@@ -36,25 +36,23 @@ def distinct_costs_per_agent(instance: SmfqInstance) -> list[list[int]]:
     ]
 
 
-def prune(instance: SmfqInstance, adjsets: dict[str, set[str]], agent_order: list[str] | None = None) -> str | None:
+def prune(instance: SmfqInstance, adjsets: dict[str, set[str]]) -> str | None:
     """Envy pruning to a fixed point, mutating ``adjsets`` in place.
 
     ``adjsets[a]`` holds the programs still available to agent a.  Sweep the
-    agents: where an agent a currently tops out at program p, no agent ranked
-    below a may sit at any program a prefers to p, so those edges go.
-    Deletions are applied eagerly; the sweep repeats until stable.  Returns
-    the first agent left with no edges, or None if all survive.  The fixed
-    point does not depend on the sweep order ``agent_order`` (default:
-    instance order).
+    agents in instance order: where an agent a currently tops out at program
+    p, no agent ranked below a may sit at any program a prefers to p, so those
+    edges go.  Deletions are applied eagerly; the sweep repeats until stable.
+    Returns the first agent left with no edges, or None if all survive.  The
+    fixed point does not depend on the declared agent order.
     """
-    order = instance.agents if agent_order is None else agent_order
     pref = instance.agent_pref
     ppref = instance.program_pref
     prank = instance.prank
     changed = True
     while changed:
         changed = False
-        for a in order:
+        for a in instance.agents:
             rem = adjsets[a]
             if not rem:
                 return a
@@ -78,7 +76,6 @@ def solve_minsum_exact(
     instance: SmfqInstance,
     budget: int | None = None,
     force: bool = False,
-    agent_order: list[str] | None = None,
 ) -> SolveReport:
     """Optimal total spend by depth-first branch-and-bound over cost tuples.
 
@@ -92,11 +89,10 @@ def solve_minsum_exact(
     reaches the limit are cut, and an accepted leaf lowers the limit to its
     spend.  Leaves are met in ascending lexicographic tuple order and must be
     strictly cheaper than the limit, so the first optimal tuple wins and the
-    result is deterministic.  ``agent_order`` sets only the pruning sweep
-    order.  Raises :class:`BudgetExceeded` when the tuple count tops the
-    budget, unless ``force`` is set.  ``stats`` holds ``tuples`` (the
-    product), ``nodes`` (search nodes expanded, leaves included) and
-    ``leaves`` (leaves checked for envy).
+    result is deterministic.  Raises :class:`BudgetExceeded` when the tuple
+    count tops the budget, unless ``force`` is set.  ``stats`` holds
+    ``tuples`` (the product), ``nodes`` (search nodes expanded, leaves
+    included) and ``leaves`` (leaves checked for envy).
     """
     cost_sets = distinct_costs_per_agent(instance)
     tuples = math.prod(len(s) for s in cost_sets)
@@ -122,7 +118,7 @@ def solve_minsum_exact(
     best: dict[str, str] | None = None
     nodes = leaves = 0
     root = {a: set(pref[a]) for a in agents}
-    stack = [] if prune(instance, root, agent_order) is not None else [(0, root, bound(root))]
+    stack = [] if prune(instance, root) is not None else [(0, root, bound(root))]
     while stack:
         depth, adjsets, lb = stack.pop()
         if lb >= limit:
@@ -142,7 +138,7 @@ def solve_minsum_exact(
         for c in reversed(levels):  # popped in ascending order
             child = {x: set(s) for x, s in adjsets.items()}
             child[a] &= by_cost[a][c]
-            if prune(instance, child, agent_order) is None:
+            if prune(instance, child) is None:
                 stack.append((depth + 1, child, bound(child)))
 
     if best is None:

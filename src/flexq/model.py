@@ -273,12 +273,3 @@ def max_cost(instance: SmfqInstance, matching: Matching) -> int:
 def is_a_perfect(instance: SmfqInstance, matching: Matching) -> bool:
     """True when every agent of the instance is assigned."""
     return all(a in matching.assignment for a in instance.agents)
-
-
-def top_choice_matching(instance: SmfqInstance) -> Matching:
-    """Assign every agent to its most preferred program.
-
-    Always envy-free: each agent sits at the top of its own list, so nobody
-    prefers anything over its assignment.
-    """
-    return Matching({a: instance.agent_pref[a][0] for a in instance.agents})

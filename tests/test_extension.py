@@ -134,6 +134,8 @@ def test_unmatchable_agents_are_reported_not_matched():
     ext = min_cost_extension(ctx, {"p1": 4, "p2": 4})
     assert ext.m2 == m1
     assert ext.round2_cost == 0
+    # nothing to search, so even a zero budget is enough
+    assert min_cost_extension(ctx, {"p1": 4, "p2": 4}, budget=0).round2_cost == 0
     # and indeed placing a2 at p2 would make a1 envious
     forced = Matching(dict(m1.assignment) | {"a2": "p2"})
     assert not is_envy_free(g, forced).ok

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -54,7 +56,7 @@ def test_pruned_fixed_point_is_order_independent():
     prune(h, base)
     for order in itertools.permutations(h.agents):
         adjsets = helpers.tuple_graph(h, (1, 2, 1, 1, 2))
-        assert prune(h, adjsets, agent_order=list(order)) is None
+        assert prune(dataclasses.replace(h, agents=list(order)), adjsets) is None
         assert adjsets == base
 
 
@@ -70,11 +72,25 @@ def test_exact_solution_on_the_canonical_market():
 
 
 def test_exact_solution_is_deterministic():
+    """Same input, same report; a reordered market keeps the optimum.
+
+    The declared order breaks ties between optimal tuples, so a permuted
+    market may pick another optimal matching, never a worse one.
+    """
     _, h = gen_fig1()
     assert solve_minsum_exact(h) == solve_minsum_exact(h)
-    for order in itertools.permutations(h.agents):
-        assert solve_minsum_exact(h, agent_order=list(order)).matching == \
-            solve_minsum_exact(h).matching
+    markets = [(h, list(order)) for order in itertools.permutations(h.agents)]
+    for seed in range(200):
+        inst = bench_instance(seed)
+        order = list(inst.agents)
+        random.Random(seed).shuffle(order)
+        markets.append((inst, order))
+    for inst, order in markets:
+        shuffled = dataclasses.replace(inst, agents=order)
+        report = solve_minsum_exact(shuffled)
+        assert report.objective == solve_minsum_exact(inst).objective, order
+        assert is_a_perfect(shuffled, report.matching)
+        assert is_envy_free(shuffled, report.matching).ok
 
 
 def test_tight_family_solved_quickly():

