@@ -45,8 +45,7 @@ from .minsum import distinct_costs_per_agent, prune, solve_minsum_exact
 from .model import (HrInstance, Matching, SmfqInstance, SolveReport,
                     is_a_perfect, is_envy_free, is_hr_stable, max_cost,
                     total_cost, validate)
-from .oracle import (enumerate_a_perfect_stable, enumerate_hr_stable,
-                     oracle_minmax, oracle_minsum)
+from .oracle import enumerate_a_perfect_stable, oracle_minmax, oracle_minsum
 
 __version__ = "0.1.0"
 
@@ -81,7 +80,6 @@ __all__ = [
     "compute_extendable",
     "distinct_costs_per_agent",
     "enumerate_a_perfect_stable",
-    "enumerate_hr_stable",
     "feasible_at",
     "format_matching",
     "gale_shapley_a_optimal",

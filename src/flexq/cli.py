@@ -23,6 +23,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .approx import (approx_promote, approx_restrict, approx_via_minmax,
@@ -193,6 +194,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if violations == 0 else 4
 
 
+@functools.cache  # built on first use; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexq",

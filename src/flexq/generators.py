@@ -110,7 +110,6 @@ class SetCoverInstance:
     sets: dict[str, list[str]]
     elements: list[str]
     f: int
-    k: int | None = None
 
     def __post_init__(self):
         known = set(self.elements)

@@ -2,8 +2,8 @@
 
 These enumerate candidate assignments outright and keep only the stable
 ones.  They are the ground truth the clever solvers are tested against, so
-they stay deliberately independent of the solver code paths: the only shared
-ingredients are the instance accessors and the stability scans.
+they stay deliberately independent of the solver code paths: all they share
+with the solvers is the instance accessors.
 
 The search prunes on envy already created by a partial assignment.  That is
 sound because an envy pair never goes away as more agents are placed: the
@@ -14,19 +14,10 @@ fixed.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Callable, Iterator
 
 from .budget import check_budget
-from .model import (
-    HrInstance,
-    Matching,
-    SmfqInstance,
-    SolveReport,
-    is_hr_stable,
-    max_cost,
-    total_cost,
-)
+from .model import Matching, SmfqInstance, SolveReport, max_cost, total_cost
 
 
 def enumerate_a_perfect_stable(
@@ -124,55 +115,3 @@ def oracle_minmax(instance: SmfqInstance, budget: int | None = None, force: bool
     """Minimum max spend over all full stable assignments, by enumeration."""
     return _best(instance, max_cost, "max_cost", "oracle-minmax", budget, force)
 
-
-def enumerate_hr_stable(
-    instance: HrInstance, budget: int | None = None, force: bool = False
-) -> Iterator[Matching]:
-    """Yield every quota-respecting stable matching (partial ones included).
-
-    Each agent's candidates are its list followed by staying unmatched, so
-    the space is the product of (list length + 1) per agent; the budget guard
-    applies to that product.  Partial assignments are pruned on quota
-    overflow; stability, whose under-subscription side depends on the final
-    rosters, is checked once each assignment is complete.
-    """
-    space = math.prod(len(instance.agent_pref[a]) + 1 for a in instance.agents)
-    check_budget(space, budget, force, "assignments")
-    return _hr_stable_assignments(instance)
-
-
-def _hr_stable_assignments(instance: HrInstance) -> Iterator[Matching]:
-    # the same explicit-stack walk as _stable_assignments; each agent's
-    # candidates end with None, staying unmatched, which is always within quota
-    agents = instance.agents
-    n = len(agents)
-    pref = instance.agent_pref
-    quota = instance.quota
-    assignment: dict[str, str] = {}
-    sizes: dict[str, int] = {p: 0 for p in instance.programs}
-    cands: list[Iterator[str | None] | None] = [None] * n
-    if n:
-        cands[0] = chain(pref[agents[0]], (None,))
-    i = 0
-    while i >= 0:
-        if i == n:
-            if is_hr_stable(instance, Matching(assignment)).ok:
-                yield Matching(dict(assignment))
-            i -= 1
-            continue
-        a = agents[i]
-        p = assignment.pop(a, None)
-        if p is not None:
-            sizes[p] -= 1
-        for p in cands[i]:
-            if p is None or sizes[p] < quota[p]:
-                break
-        else:
-            i -= 1
-            continue
-        if p is not None:
-            assignment[a] = p
-            sizes[p] += 1
-        i += 1
-        if i < n:
-            cands[i] = chain(pref[agents[i]], (None,))

@@ -14,6 +14,7 @@ import time
 import helpers
 from flexq import (
     GraphInstance,
+    Matching,
     SetCoverInstance,
     approx_promote,
     approx_restrict,
@@ -21,7 +22,6 @@ from flexq import (
     bench_hr_instance,
     bench_instance,
     compute_extendable,
-    enumerate_hr_stable,
     gale_shapley_a_optimal,
     gen_example1,
     gen_example2,
@@ -170,7 +170,7 @@ def test_criterion_7_matchable_sets_nest_under_deferred_acceptance(capsys):
             inst = bench_hr_instance(seed)
             best = set(compute_extendable(
                 inst, gale_shapley_a_optimal(inst)).a_u_matchable)
-            for m in enumerate_hr_stable(inst):
+            for m in map(Matching, helpers.all_hr_stable_assignments(inst)):
                 other = set(compute_extendable(inst, m).a_u_matchable)
                 assert other <= best, seed
                 matchings += 1

@@ -259,6 +259,27 @@ def test_internal_invariant_violations_exit_4(capsys, fig1_h, monkeypatch):
     assert "invariant" in err
 
 
+def test_commands_look_solvers_up_at_call_time(capsys, fig1_h, monkeypatch):
+    # the parser is built once; a failed parse must not leave it stale, and a
+    # solver swapped in afterwards (as the benchmark tracer does) must run
+    assert run(capsys, "solve", "minmax", "--no-such-flag", fig1_h)[0] == 2
+    calls = []
+    real = flexq.cli.solve_minmax
+
+    def spy(instance):
+        calls.append(instance)
+        return real(instance)
+    monkeypatch.setattr("flexq.cli.solve_minmax", spy)
+    code, out, _ = run(capsys, "solve", "minmax", fig1_h)
+    assert code == 0
+    assert "# objective=4" in out
+    assert len(calls) == 1
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in flexq.__all__ if getattr(flexq, name, None) is None] == []
+
+
 @pytest.mark.parametrize("exc, code", [(MemoryError, 3), (RecursionError, 4)])
 def test_resource_errors_exit_without_a_traceback(capsys, fig1_h, monkeypatch, exc, code):
     def boom(instance, budget=None, force=False):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import helpers
 from flexq import (
     BudgetExceeded,
     HrInstance,
@@ -15,7 +16,6 @@ from flexq import (
     barrier,
     bench_hr_instance,
     compute_extendable,
-    enumerate_hr_stable,
     gale_shapley_a_optimal,
     gen_fig1,
     is_envy_free,
@@ -170,6 +170,6 @@ def test_matchable_sets_shrink_against_the_deferred_acceptance_round():
         inst = bench_hr_instance(seed)
         best = set(compute_extendable(
             inst, gale_shapley_a_optimal(inst)).a_u_matchable)
-        for m in enumerate_hr_stable(inst):
+        for m in map(Matching, helpers.all_hr_stable_assignments(inst)):
             other = set(compute_extendable(inst, m).a_u_matchable)
             assert other <= best, seed
