@@ -74,7 +74,7 @@ def test_agent_optimality_among_all_stable_matchings():
 
 def test_same_agents_matched_in_every_stable_matching():
     """The set of matched agents is an invariant of the instance."""
-    for seed in range(60):
+    for seed in range(40):
         inst = bench_hr_instance(seed)
         matched_sets = {frozenset(m) for m in helpers.all_hr_stable_assignments(inst)}
         gs_matched = frozenset(gale_shapley_a_optimal(inst).assignment)

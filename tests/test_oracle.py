@@ -7,6 +7,7 @@ import pytest
 import helpers
 from flexq import (
     BudgetExceeded,
+    bench_hr_instance,
     bench_instance,
     enumerate_a_perfect_stable,
     gen_fig1,
@@ -43,6 +44,22 @@ def test_every_market_has_a_full_stable_matching():
     for seed in range(100):
         inst = bench_instance(seed)
         assert next(iter(enumerate_a_perfect_stable(inst)), None) is not None
+
+
+def test_quota_stable_matchings_share_their_matched_set():
+    """Rural hospitals: every quota-stable matching matches the same agents,
+    fills each program to the same count, and gives an under-filled program
+    the same roster."""
+    for seed in range(60):
+        inst = bench_hr_instance(seed)
+        stable = helpers.all_hr_stable_assignments(inst)
+        assert stable, seed
+        assert len({frozenset(m) for m in stable}) == 1, seed
+        for p in inst.programs:
+            rosters = {frozenset(a for a, q in m.items() if q == p) for m in stable}
+            assert len({len(r) for r in rosters}) == 1, (seed, p)
+            if len(next(iter(rosters))) < inst.quota[p]:
+                assert len(rosters) == 1, (seed, p)
 
 
 def test_budget_guards_the_enumeration():
