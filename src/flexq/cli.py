@@ -300,3 +300,7 @@ def cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -10,9 +10,11 @@ Instance files::
     p1 cost=1: a2 a4 a1 a3      <- "hr" files additionally require quota=<int>
     p2 cost=2: a1 a2 a5 a3 a4
 
-Identifiers match ``[A-Za-z0-9_]+``.  Parsing validates the result, so a
-grammatically fine but structurally broken file raises the corresponding
-validation error.  ``serialize_instance`` emits the canonical form above and
+Identifiers match ``[A-Za-z0-9_]+`` and integers ``-?[0-9]+``.  An id list
+is scanned once for a character outside ids and whitespace; only a hit falls
+back to checking token by token, which names the first bad id and its line.
+Parsing validates the result, so a grammatically fine but structurally broken
+file raises the corresponding validation error.  ``serialize_instance`` emits the canonical form above and
 round-trips: parse(serialize(x)) == x.
 
 Matching files hold one line per agent, in instance order, ``<agent> ->
@@ -33,6 +35,9 @@ from .generators import GraphInstance, SetCoverInstance
 from .model import HrInstance, Matching, SmfqInstance, validate
 
 _IDENT = re.compile(r"^[A-Za-z0-9_]+$")
+# re's \s matches exactly the code points str.split() splits on
+_NON_IDENT = re.compile(r"[^A-Za-z0-9_\s]")
+_INT = re.compile(r"-?[0-9]+")
 _MATCH_LINE = re.compile(r"^([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+|-)$")
 
 
@@ -48,6 +53,24 @@ def _check_ident(name: str, lineno: int) -> str:
     if not _IDENT.match(name):
         raise ParseError(f"bad identifier {name!r}", lineno)
     return name
+
+
+def _ident_list(text: str, lineno: int) -> list[str]:
+    """Split a whitespace-separated id list, raising on its first bad id."""
+    names = text.split()
+    if _NON_IDENT.search(text):
+        for name in names:
+            _check_ident(name, lineno)
+    return names
+
+
+def _parse_int(text: str, what: str, lineno: int) -> int:
+    if _INT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() accepts
+            pass
+    raise ParseError(f"{what} must be an integer, got {text!r}", lineno)
 
 
 def parse_instance(text: str) -> SmfqInstance | HrInstance:
@@ -91,7 +114,6 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         head, sep, tail = line.partition(":")
         if not sep:
             raise ParseError("expected '<id> ...: <list>'", lineno)
-        names = tail.split()
 
         if section == "agents":
             tokens = head.split()
@@ -101,7 +123,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             if a in agent_pref:
                 raise ParseError(f"duplicate agent line for {a}", lineno)
             agents.append(a)
-            agent_pref[a] = [_check_ident(x, lineno) for x in names]
+            agent_pref[a] = _ident_list(tail, lineno)
         else:
             tokens = head.split()
             if not tokens:
@@ -116,10 +138,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
                     raise ParseError(f"unknown attribute {tok!r}", lineno)
                 if key in keys:
                     raise ParseError(f"duplicate attribute {key!r}", lineno)
-                try:
-                    keys[key] = int(val)
-                except ValueError:
-                    raise ParseError(f"{key} must be an integer, got {val!r}", lineno) from None
+                keys[key] = _parse_int(val, key, lineno)
             if "cost" not in keys:
                 raise ParseError(f"program {p} is missing cost=<int>", lineno)
             if kind == "hr" and "quota" not in keys:
@@ -127,7 +146,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             if kind == "smfq" and "quota" in keys:
                 raise ParseError(f"program {p} carries a quota, not allowed in 'smfq 1'", lineno)
             programs.append(p)
-            program_pref[p] = [_check_ident(x, lineno) for x in names]
+            program_pref[p] = _ident_list(tail, lineno)
             cost[p] = keys["cost"]
             if kind == "hr":
                 quota[p] = keys["quota"]
@@ -223,10 +242,7 @@ def parse_cost_file(text: str) -> dict[str, int]:
         p = _check_ident(parts[0], lineno)
         if p in costs:
             raise ParseError(f"duplicate cost for {p}", lineno)
-        try:
-            costs[p] = int(parts[1])
-        except ValueError:
-            raise ParseError(f"cost must be an integer, got {parts[1]!r}", lineno) from None
+        costs[p] = _parse_int(parts[1], "cost", lineno)
     return costs
 
 
@@ -239,10 +255,7 @@ def parse_set_cover(text: str) -> SetCoverInstance:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "elements":
         raise ParseError(f"expected 'elements <n>', got {header!r}", lineno)
-    try:
-        declared = int(parts[1])
-    except ValueError:
-        raise ParseError(f"element count must be an integer, got {parts[1]!r}", lineno) from None
+    declared = _parse_int(parts[1], "element count", lineno)
 
     sets: dict[str, list[str]] = {}
     elements: list[str] = []
@@ -256,7 +269,7 @@ def parse_set_cover(text: str) -> SetCoverInstance:
         sid = _check_ident(head.strip(), lineno)
         if sid in sets:
             raise ParseError(f"duplicate set {sid}", lineno)
-        members = [_check_ident(x, lineno) for x in tail.split()]
+        members = _ident_list(tail, lineno)
         sets[sid] = members
         for e in members:
             if e not in seen:

@@ -149,7 +149,9 @@ def validate(instance: SmfqInstance) -> None:
 
     Checks run in a fixed order (mutual acceptability, strictness, non-empty
     agent lists, costs, then quotas for the quota variant) and the error
-    message names the offending identifier.  Returns None when well formed.
+    message names the offending identifier.  The program side of the mutual
+    check is scanned only when its rank tables hold a different number of
+    edges from the agent side's.  Returns None when well formed.
     """
     if len(set(instance.agents)) != len(instance.agents):
         raise DuplicateInList("instance declares a duplicate agent identifier")
@@ -162,10 +164,12 @@ def validate(instance: SmfqInstance) -> None:
         for p in lst:
             if a not in prank.get(p, ()):
                 raise NonMutualEdge(f"agent {a} lists {p}, but {p} does not list {a}")
-    for p, lst in instance.program_pref.items():
-        for a in lst:
-            if p not in arank.get(a, ()):
-                raise NonMutualEdge(f"program {p} lists {a}, but {a} does not list {p}")
+    # every agent-side edge is now on the program side, so equal counts mean equal edge sets
+    if sum(map(len, arank.values())) != sum(map(len, prank.values())):
+        for p, lst in instance.program_pref.items():
+            for a in lst:
+                if p not in arank.get(a, ()):
+                    raise NonMutualEdge(f"program {p} lists {a}, but {a} does not list {p}")
 
     # a rank table keeps one entry per distinct name
     for a, lst in instance.agent_pref.items():

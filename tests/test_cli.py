@@ -315,3 +315,23 @@ def test_console_entry_point(capsys, fig1_h, monkeypatch):
         main()
     assert exc.value.code == 0
     assert "# objective=4" in capsys.readouterr().out
+
+
+def test_module_entry_point(capsys, fig1_h, tmp_path):
+    # python -m flexq.cli runs the same command as the console script
+    src = str(Path(flexq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module(*argv: str):
+        return subprocess.run([sys.executable, "-m", "flexq.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    proc = module("solve", "minmax", fig1_h)
+    code, out, _ = run(capsys, "solve", "minmax", fig1_h)
+    assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
+    bad = tmp_path / "bad.smfq"
+    bad.write_text("smfq 1\n[agents]\na1: p-1\n")
+    proc = module("solve", "minmax", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: line 3: bad identifier 'p-1'\n"

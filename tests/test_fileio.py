@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from flexq import (
     gen_example2,
     gen_fig1,
     gen_fig2,
+    gen_random_hr,
     parse_cost_file,
     parse_graph,
     parse_instance,
@@ -25,6 +28,7 @@ from flexq import (
     parse_set_cover,
     serialize_instance,
 )
+from flexq import fileio
 
 CANONICAL_H = """\
 smfq 1
@@ -118,6 +122,80 @@ def test_bad_agent_lines(line):
         parse_instance(f"smfq 1\n[agents]\n{line}\n[programs]\np1 cost=0: a1\n")
 
 
+def test_valid_lists_are_scanned_without_a_per_token_check(monkeypatch):
+    # a valid file checks one id per line, its head, however long the lists
+    text = serialize_instance(gen_random_hr(500, 20, 10, 9, 40, 0))
+    checked = []
+    check = fileio._check_ident
+
+    def counting(name, lineno):
+        checked.append(lineno)
+        return check(name, lineno)
+
+    monkeypatch.setattr(fileio, "_check_ident", counting)
+    parse_instance(text)
+    # agents on lines 3-502, programs on 504-523
+    assert checked == [*range(3, 503), *range(504, 524)]
+
+
+def test_the_head_id_is_checked_before_its_list():
+    err = pytest.raises(ParseError, parse_instance,
+                        "smfq 1\n[agents]\na-1: p-2\n[programs]\np1 cost=0: a1\n").value
+    assert err.line == 3
+    assert "bad identifier 'a-1'" in str(err)
+
+
+# list separators include Unicode whitespace that str.split() splits on;
+# \x0b also ends a line, so the rest of that list moves to a line of its own
+_GOOD_IDS = ["p1", "p2", "p3"]
+_BAD_IDS = ["p-1", "$", "é", "p٣", "-", "a$é"]
+_SEPARATORS = [" ", "\t", "\u3000", "\x0b", " \t "]
+
+
+@st.composite
+def _id_list_files(draw):
+    """An smfq file whose agent lists mix declared, mutual ids with bad ones."""
+    lines = ["smfq 1", "[agents]"]
+    listed: dict[str, list[str]] = {p: [] for p in _GOOD_IDS}
+    for i in range(1, draw(st.integers(min_value=1, max_value=3)) + 1):
+        good = draw(st.permutations(_GOOD_IDS))[:draw(st.integers(min_value=1, max_value=3))]
+        for p in good:
+            listed[p].append(f"a{i}")
+        bad = draw(st.lists(st.sampled_from(_BAD_IDS), max_size=2))
+        # keep the good ids in order, so the list stays a valid preference list
+        tokens = list(good)
+        for tok in bad:
+            tokens.insert(draw(st.integers(min_value=0, max_value=len(tokens))), tok)
+        seps = draw(st.lists(st.sampled_from(_SEPARATORS),
+                             min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        lines.append(f"a{i}:" + "".join(s + t for s, t in zip(seps, tokens)) + seps[-1])
+    lines.append("[programs]")
+    lines += [f"{p} cost=0: {' '.join(agents)}" for p, agents in listed.items()]
+    return "\n".join(lines) + "\n"
+
+
+@given(_id_list_files())
+@settings(max_examples=300, deadline=None)
+def test_id_lists_are_accepted_exactly_when_every_token_is_an_identifier(text):
+    # the first bad token or list-less line, in the order the lines are read
+    expected = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        head, sep, tail = line.partition(":")
+        if not sep and line.strip() and not line.startswith(("smfq", "[")):
+            expected = (lineno, "expected '<id> ...: <list>'")
+            break
+        bad = [t for t in tail.split() if not re.fullmatch(r"[A-Za-z0-9_]+", t)]
+        if bad:
+            expected = (lineno, f"bad identifier {bad[0]!r}")
+            break
+    if expected is None:
+        parse_instance(text)
+        return
+    err = pytest.raises(ParseError, parse_instance, text).value
+    assert err.line == expected[0]
+    assert str(err) == f"line {expected[0]}: {expected[1]}"
+
+
 def test_duplicate_declarations_rejected():
     with pytest.raises(ParseError):
         parse_instance("smfq 1\n[agents]\na1: p1\na1: p1\n"
@@ -130,6 +208,8 @@ def test_duplicate_declarations_rejected():
 @pytest.mark.parametrize("progline,fragment", [
     ("p1: a1", "missing cost"),
     ("p1 cost=zz: a1", "integer"),
+    ("p1 cost=1_0: a1", "cost must be an integer, got '1_0'"),   # int() would read 10
+    ("p1 cost=٣: a1", "cost must be an integer, got '٣'"),       # an Arabic-Indic 3
     ("p1 cost=1 cost=2: a1", "duplicate"),
     ("p1 cost=1 shiny=3: a1", "unknown"),
     ("p1 cost=1 quota=2: a1", "quota"),   # quotas have no meaning without 'hr'
@@ -211,6 +291,8 @@ def test_cost_file_parsing():
         parse_cost_file("p1 3\np1 4\n")
     with pytest.raises(ParseError):
         parse_cost_file("p1 three\n")
+    with pytest.raises(ParseError, match="cost must be an integer"):
+        parse_cost_file("p1 ٣\n")                 # a non-ASCII digit
     with pytest.raises(ParseError):
         parse_cost_file("p1\n")
 
@@ -229,6 +311,7 @@ def test_set_cover_parsing_derives_the_occurrence_count():
     "elements 1\nset s1: e1\nset s1: e1\n",           # duplicate set id
     "elements 1\nrow s1: e1\n",                       # unknown line shape
     "elements 1\nset s1: e1 e1\nset s2: e1\n",        # repeat inside one set
+    "elements 0_1\nset s1: e1\nset s2: e1\n",        # only ASCII digits count
 ])
 def test_set_cover_rejects_malformed_inputs(text):
     with pytest.raises(ParseError):

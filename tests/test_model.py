@@ -106,6 +106,10 @@ def test_validate_rejects_non_mutual_edges_both_directions():
     ({"a1": ["p1", "p1"], "a2": ["p1", "p2"]}, {"p1": ["a1", "a2"], "p2": []}, NonMutualEdge),
     # a duplicate (a2 repeats p1) is reported before a1's empty list
     ({"a1": [], "a2": ["p1", "p1"]}, {"p1": ["a2"], "p2": []}, DuplicateInList),
+    # only the program side sees p2 -> a1; its lists hold 3 entries like the
+    # agents', but their rank tables 3 edges against 2, so the scan still runs
+    # and reports it before a1's duplicate
+    ({"a1": ["p1", "p1"], "a2": ["p1"]}, {"p1": ["a1", "a2"], "p2": ["a1"]}, NonMutualEdge),
 ])
 def test_validate_reports_the_first_check_in_documented_order(agent_pref, program_pref, error):
     inst = SmfqInstance(["a1", "a2"], ["p1", "p2"], agent_pref, program_pref, {})
