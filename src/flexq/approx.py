@@ -106,7 +106,10 @@ def approx_restrict(instance: SmfqInstance) -> SolveReport:
 
 
 def approx_via_minmax(instance: SmfqInstance) -> SolveReport:
-    """Report the exact max-spend matching under the total-spend objective."""
+    """Report the exact max-spend matching under the total-spend objective.
+
+    ``stats`` are the max-spend solver's counters.
+    """
     rep = solve_minmax(instance)
     return SolveReport(
         rep.matching,
@@ -114,4 +117,5 @@ def approx_via_minmax(instance: SmfqInstance) -> SolveReport:
         "total_cost",
         "via-minmax",
         certified_optimal=False,
+        stats=rep.stats,
     )

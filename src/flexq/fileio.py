@@ -154,14 +154,17 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
     if section != "programs":
         raise ParseError("missing [programs] section")
 
-    for a in agents:
-        for p in agent_pref[a]:
-            if p not in program_pref:
-                raise ParseError(f"agent {a} references undeclared program {p}")
-    for p in programs:
-        for a in program_pref[p]:
-            if a not in agent_pref:
-                raise ParseError(f"program {p} references undeclared agent {a}")
+    # one set test per side; the ordered scan runs only to name the first offender
+    if not program_pref.keys() >= set().union(*agent_pref.values()):
+        for a in agents:
+            for p in agent_pref[a]:
+                if p not in program_pref:
+                    raise ParseError(f"agent {a} references undeclared program {p}")
+    if not agent_pref.keys() >= set().union(*program_pref.values()):
+        for p in programs:
+            for a in program_pref[p]:
+                if a not in agent_pref:
+                    raise ParseError(f"program {p} references undeclared agent {a}")
 
     if kind == "hr":
         instance: SmfqInstance = HrInstance(agents, programs, agent_pref, program_pref, cost, quota=quota)

@@ -8,14 +8,39 @@ Each program holds its tentative roster in a max-heap keyed by its own rank
 of the agent, so the worst held agent is on top and a trade costs
 O(log q).  A run over preference lists of total length L takes
 O(L log q) time, where q is the largest quota.
+
+A finished run can be carried on to smaller quotas
+(:func:`resume_with_fewer_seats`): each roster is cut to its new seats and
+the evicted agents propose on from where they stopped.  That reaches the
+outcome of a fresh run under the smaller quotas.  Every rejection made under
+the larger quotas is one the program makes under the smaller ones too, and
+the outcome does not depend on the order of proposals.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
+from typing import NamedTuple
 
 from .model import HrInstance, Matching, SmfqInstance
+
+
+class DaState(NamedTuple):
+    """Where a deferred-acceptance run stands.
+
+    ``slots`` maps each program with seats to ``(roster heap, seats, rank
+    table)``; the heap holds ``(-rank, agent)``, so the worst tentative agent
+    sits on top.  ``nxt`` maps each agent to the index of its next proposal,
+    and ``match`` each held agent to its program.
+    """
+
+    slots: dict[str, tuple[list[tuple[int, str]], int, dict[str, int]]]
+    nxt: dict[str, int]
+    match: dict[str, str]
+
+    def matching(self, instance: SmfqInstance) -> Matching:
+        return Matching({a: self.match[a] for a in instance.agents if a in self.match})
 
 
 def gale_shapley_a_optimal(instance: SmfqInstance, quota: dict[str, int] | None = None) -> Matching:
@@ -32,16 +57,63 @@ def gale_shapley_a_optimal(instance: SmfqInstance, quota: dict[str, int] | None 
     """
     if quota is None:
         quota = instance.quota
-    pref = instance.agent_pref
+    return deferred_acceptance_state(instance, quota).matching(instance)
+
+
+def deferred_acceptance_state(instance: SmfqInstance, quota: dict[str, int]) -> DaState:
+    """Run deferred acceptance from scratch under the seat map ``quota`` and
+    return its final state, which :func:`resume_with_fewer_seats` can carry on."""
     prank = instance.prank
-    # program -> (tentative roster, seats, ranks); the roster is a heap of
-    # (-rank, agent), so the worst tentative agent sits on top
-    slots = {p: ([], quota[p], prank[p]) for p in instance.programs if quota.get(p, 0) >= 1}
-
-    nxt = dict.fromkeys(instance.agents, 0)
-    match: dict[str, str] = {}
+    state = DaState({p: ([], quota[p], prank[p]) for p in instance.programs if quota.get(p, 0) >= 1},
+                    dict.fromkeys(instance.agents, 0), {})
     free = deque(instance.agents)
+    while _propose(instance.agent_pref, state, free) is not None:
+        pass  # that agent's list ran out: it stays unmatched
+    return state
 
+
+def resume_with_fewer_seats(instance: SmfqInstance, state: DaState,
+                            quota: dict[str, int]) -> tuple[DaState, str | None]:
+    """Carry a finished run on to a seat map that gives no program more seats.
+
+    Works on a copy and leaves ``state`` as it was.  Each roster is cut to
+    its new seats by evicting its worst held agents (all of them where a
+    program is left out of ``quota``), and the evicted agents propose on.
+    Returns the new state and None when everyone evicted found a place
+    again; otherwise stops at the first agent whose list runs out and
+    returns that agent with a partial state.
+    """
+    match = dict(state.match)
+    slots = {}
+    free: deque[str] = deque()
+    for p, (heap, _, ranks) in state.slots.items():
+        seats = quota.get(p, 0)
+        if seats == 0:  # left out: everyone it holds leaves
+            for _, a in heap:
+                del match[a]
+                free.append(a)
+            continue
+        heap = heap[:]
+        while len(heap) > seats:
+            a = heappop(heap)[1]
+            del match[a]
+            free.append(a)
+        slots[p] = (heap, seats, ranks)
+    out = DaState(slots, dict(state.nxt), match)
+    return out, _propose(instance.agent_pref, out, free)
+
+
+def _propose(pref: dict[str, list[str]], state: DaState, free: deque[str]) -> str | None:
+    """Let the free agents propose on from ``state.nxt`` until nobody is free.
+
+    This is the package's one proposal loop.  Returns None once ``free`` is
+    empty.  If an agent's list runs out first, the run stops and returns
+    that agent, now unmatched and out of ``free``; a further call carries on
+    with the rest.  Every list entry an agent passes advances its ``nxt``,
+    including entries skipped because the program has no seats, so the sum
+    of ``nxt`` counts the proposals made.
+    """
+    slots, nxt, match = state
     while free:
         a = free.popleft()
         lst = pref[a]
@@ -65,10 +137,11 @@ def gale_shapley_a_optimal(instance: SmfqInstance, quota: dict[str, int] | None 
                 free.append(w)
                 match[a] = p
                 break
+        else:
+            nxt[a] = i
+            return a
         nxt[a] = i
-        # list exhausted: a stays unmatched
-
-    return Matching({a: match[a] for a in instance.agents if a in match})
+    return None
 
 
 def unmatched_agents(instance: HrInstance, matching: Matching) -> list[str]:

@@ -3,14 +3,20 @@
 For a threshold t, give each program the seats it can afford under t
 (``t // cost``, unlimited for cost-0 programs) and ask whether deferred
 acceptance matches everyone.  Feasibility is monotone in t, so the optimum is
-found by binary search over [0, |agents| * max_cost].  Every probe runs on the
-cost market's own preference lists and rank tables with a fresh seat map; no
-probe copies the market.
+found by binary search over [0, |agents| * max_cost].
+
+The search keeps the deferred-acceptance state of the smallest threshold
+known feasible and starts every probe below it from a copy of that state:
+seats only shrink, so each roster is cut to its new quota, the evicted
+agents propose on from where they stopped, and the result is the
+deferred-acceptance outcome for the probe's threshold.  A rejected agent is
+never taken back, so a probe is infeasible the moment one agent's list runs
+out.
 """
 
 from __future__ import annotations
 
-from .hr import gale_shapley_a_optimal
+from .hr import deferred_acceptance_state, gale_shapley_a_optimal, resume_with_fewer_seats
 from .model import Matching, SmfqInstance, SolveReport, is_a_perfect, max_cost
 
 
@@ -42,19 +48,31 @@ def solve_minmax(instance: SmfqInstance) -> SolveReport:
     The top of the search range is always feasible (every quota is at least
     |agents| there), so the binary search needs no probe of the endpoints.
     The returned matching is the agent-optimal one for the optimal threshold.
+    ``stats`` holds ``probes`` (binary-search steps) and ``proposals`` (list
+    entries passed over all deferred-acceptance steps, counting the run at
+    the top of the range).
     """
     lo, hi = 0, len(instance.agents) * max(instance.cost.values(), default=0)
+    # the state at hi, the smallest threshold known feasible; at the top of
+    # the range it is every agent at its top choice
+    state = deferred_acceptance_state(instance, build_quota_instance(instance, hi))
+    proposals = sum(state.nxt.values())
+    probes = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible_at(instance, mid):
-            hi = mid
+        probes += 1
+        probe, stuck = resume_with_fewer_seats(instance, state, build_quota_instance(instance, mid))
+        proposals += sum(probe.nxt.values()) - sum(state.nxt.values())
+        if stuck is None:
+            hi, state = mid, probe
         else:
             lo = mid + 1
-    t_star = lo
+    t_star = hi
 
-    matching: Matching = gale_shapley_a_optimal(instance, quota=build_quota_instance(instance, t_star))
+    matching = state.matching(instance)
     if not is_a_perfect(instance, matching):
         raise AssertionError(f"the matching at the optimal threshold {t_star} leaves an agent out")
     if max_cost(instance, matching) != t_star:
         raise AssertionError(f"the matching at the optimal threshold {t_star} spends a different maximum")
-    return SolveReport(matching, t_star, "max_cost", "minmax", certified_optimal=True)
+    return SolveReport(matching, t_star, "max_cost", "minmax", certified_optimal=True,
+                       stats={"probes": probes, "proposals": proposals})

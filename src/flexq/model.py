@@ -121,8 +121,9 @@ class SolveReport:
     """A solver result: the matching plus the objective it was scored on.
 
     ``stats`` holds deterministic work counters where a solver reports them
-    (``solve_minsum_exact``: ``tuples``, ``nodes``, ``leaves``); equality
-    ignores it.
+    (``solve_minsum_exact``: ``tuples``, ``nodes``, ``leaves``;
+    ``solve_minmax`` and ``approx_via_minmax``: ``probes``, ``proposals``);
+    equality ignores it.
     """
 
     matching: Matching

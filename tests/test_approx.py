@@ -20,6 +20,7 @@ from flexq import (
     min_cost_choice,
     min_cost_program,
     oracle_minsum,
+    solve_minmax,
     total_cost,
 )
 
@@ -70,6 +71,7 @@ def test_via_minmax_on_the_canonical_market():
     assert report.objective == 7  # happens to be optimal here
     assert report.objective_kind == "total_cost"
     assert not report.certified_optimal
+    assert report.stats == solve_minmax(h).stats != {}
 
 
 def test_reports_are_marked_uncertified():

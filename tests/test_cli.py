@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -307,6 +308,16 @@ def test_internal_invariants_survive_optimized_mode(fig1_h):
     assert proc.returncode == 4, proc.stdout + proc.stderr
     assert "invariant" in proc.stderr
     assert "# certified=true" not in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips them, so every invariant in the package must raise
+    pkg = Path(flexq.__file__).resolve().parent
+    found = [f"{path.relative_to(pkg)}:{node.lineno}"
+             for path in sorted(pkg.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_console_entry_point(capsys, fig1_h, monkeypatch):

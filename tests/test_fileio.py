@@ -228,10 +228,18 @@ def test_quota_required_for_every_program_in_quota_files():
 
 
 def test_undeclared_references_rejected():
-    with pytest.raises(ParseError):
-        parse_instance("smfq 1\n[agents]\na1: p9\n[programs]\np1 cost=0: a1\n")
-    with pytest.raises(ParseError):
-        parse_instance("smfq 1\n[agents]\na1: p1\n[programs]\np1 cost=0: a9\n")
+    err = pytest.raises(ParseError, parse_instance,
+                        "smfq 1\n[agents]\na1: p9\n[programs]\np1 cost=0: a1\n").value
+    assert "agent a1 references undeclared program p9" in str(err)
+    err = pytest.raises(ParseError, parse_instance,
+                        "smfq 1\n[agents]\na1: p1\n[programs]\np1 cost=0: a9\n").value
+    assert "program p1 references undeclared agent a9" in str(err)
+    # undeclared ids on both sides: the agent side is reported first, and
+    # within it the first offender in file order
+    err = pytest.raises(ParseError, parse_instance,
+                        "smfq 1\n[agents]\na1: p1 p8\na2: p7\n[programs]\n"
+                        "p1 cost=0: a9 a1\n").value
+    assert "agent a1 references undeclared program p8" in str(err)
 
 
 def test_structural_validation_still_applies():

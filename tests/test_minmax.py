@@ -13,6 +13,7 @@ from flexq import (
     gale_shapley_a_optimal,
     gen_fig1,
     gen_fig2,
+    gen_master_list,
     gen_random,
     is_a_perfect,
     is_envy_free,
@@ -116,11 +117,61 @@ def test_seat_maps_agree_on_larger_markets():
             assert got == helpers.deferred_acceptance_naive(helpers.threshold_market(inst, t)), (seed, t)
 
 
-def test_crowding_market_settles_on_the_free_program():
+def _crowding_market(n):
     """Everyone ranks the paid p1 first, but only the free p0 can seat them all."""
-    agents = [f"a{i}" for i in range(2000)]
-    inst = SmfqInstance(agents, ["p0", "p1"], {a: ["p1", "p0"] for a in agents},
+    agents = [f"a{i}" for i in range(n)]
+    return SmfqInstance(agents, ["p0", "p1"], {a: ["p1", "p0"] for a in agents},
                         {"p0": list(agents), "p1": agents[::-1]}, {"p0": 0, "p1": 1})
+
+
+def test_crowding_market_settles_on_the_free_program():
+    inst = _crowding_market(2000)
     report = solve_minmax(inst)
     assert report.objective == 0
-    assert report.matching.assignment == {a: "p0" for a in agents}
+    assert report.matching.assignment == {a: "p0" for a in inst.agents}
+
+
+def _warm_start_markets():
+    for seed in range(600):
+        yield f"bench {seed}", bench_instance(seed)
+    for seed in range(6):
+        n = 50 + 50 * seed
+        yield f"random {n}", gen_random(n, 4 + seed, 1 + seed % 4, 9, seed)
+        yield f"master {n}", gen_master_list(n, 4 + seed, 1 + seed % 4, 9, seed)
+    free = gen_random(40, 5, 3, 9, 1)
+    yield "all free", SmfqInstance(free.agents, free.programs, free.agent_pref,
+                                   free.program_pref, dict.fromkeys(free.programs, 0))
+    agents = [f"a{i}" for i in range(30)]
+    yield "one program", SmfqInstance(agents, ["p1"], {a: ["p1"] for a in agents},
+                                      {"p1": agents[::-1]}, {"p1": 3})
+    yield "crowding", _crowding_market(2000)
+
+
+def test_warm_started_search_equals_naive_deferred_acceptance_at_the_optimum():
+    """Each probe resumes from the last feasible state; the kept state must be
+    exactly what deferred acceptance on the rebuilt optimal market gives."""
+    for label, inst in _warm_start_markets():
+        report = solve_minmax(inst)
+        market = helpers.threshold_market(inst, report.objective)
+        assert report.matching.assignment == helpers.deferred_acceptance_naive(market), label
+
+
+def test_search_counters_are_deterministic_and_count_the_probes():
+    for seed in range(200):
+        inst = bench_instance(seed)
+        lo, hi, steps = 0, len(inst.agents) * max(inst.cost.values()), 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            steps += 1
+            if feasible_at(inst, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        report = solve_minmax(inst)
+        assert report.stats["probes"] == steps, seed
+        assert report.stats == solve_minmax(inst).stats, seed
+    # the crowding market: the run at the top puts all 2,000 agents at p1,
+    # every probe below t=2000 evicts the excess to p0, so the 2,000
+    # proposals at p1 and 2,000 at p0 are all the work done
+    report = solve_minmax(_crowding_market(2000))
+    assert report.stats == {"probes": 11, "proposals": 4000}
