@@ -17,7 +17,7 @@ out.
 from __future__ import annotations
 
 from .hr import deferred_acceptance_state, gale_shapley_a_optimal, resume_with_fewer_seats
-from .model import Matching, SmfqInstance, SolveReport, is_a_perfect, max_cost
+from .model import SmfqInstance, SolveReport, is_a_perfect, max_cost
 
 
 def build_quota_instance(instance: SmfqInstance, t: int) -> dict[str, int]:
