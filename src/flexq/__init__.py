@@ -29,9 +29,9 @@ from .budget import DEFAULT_BUDGET
 from .errors import (BudgetExceeded, DuplicateInList, EmptyAgentList,
                      FlexqError, NegativeCost, NonMutualEdge, NotStable,
                      ParseError, QuotaViolated, ValidationError, ZeroQuota)
-from .extension import (Extension, ExtensionContext, barrier,
-                        compute_extendable, largest_extension,
-                        min_cost_extension, min_deviation_extension)
+from .extension import (Extension, ExtensionContext, compute_extendable,
+                        largest_extension, min_cost_extension,
+                        min_deviation_extension)
 from .fileio import (format_matching, parse_cost_file, parse_graph,
                      parse_instance, parse_matching, parse_set_cover,
                      serialize_instance)
@@ -73,7 +73,6 @@ __all__ = [
     "approx_promote",
     "approx_restrict",
     "approx_via_minmax",
-    "barrier",
     "bench_hr_instance",
     "bench_instance",
     "build_quota_instance",

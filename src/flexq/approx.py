@@ -65,7 +65,7 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
     roster: dict[str, set[str]] = {p: set() for p in instance.programs}
     for a, p in match.items():
         roster[p].add(a)
-    prank = instance.prank
+    arank, prank = instance.arank, instance.prank
 
     for p in instance.programs:
         ranks = prank[p]
@@ -77,8 +77,8 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
             r = ranks[a]
             if r >= worst:
                 continue  # nobody currently at p is worse than a
-            if not instance.agent_prefers(a, p, match[a]):
-                continue
+            if arank[a][p] >= arank[a][match[a]]:
+                continue  # a does not prefer p to its current program
             roster[match[a]].discard(a)
             members.add(a)  # joins above the current worst, so worst stands
             match[a] = p

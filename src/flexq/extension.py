@@ -3,9 +3,11 @@
 Round one fixes a stable matching under rigid quotas.  Round two may assign
 the leftover agents beyond the quotas, as long as the combined matching
 stays envy-free with respect to the original preferences.  Which programs an
-unmatched agent may still join is governed by each program's *barrier*: its
-most preferred matched agent that would rather be there.  Unmatched agents
-ranked below a barrier are out; what survives is the extension graph.
+unmatched agent may still join is governed by each program's *barrier*: the
+best rank, on the program's list, of a matched agent that would rather be
+there.  That is one rank per program, found in one pass over the matched
+agents' list prefixes.  Unmatched agents ranked below a barrier are out; what
+survives is the extension graph.
 
 Within that graph, round two can chase different goals: match as many
 leftover agents as possible, minimize the largest per-program overflow, or
@@ -41,7 +43,6 @@ class ExtensionContext:
     round1: HrInstance
     m1: Matching
     a_u: list[str]
-    barriers: dict[str, str | None]
     g_m: dict[str, list[str]]
 
     @property
@@ -57,34 +58,21 @@ class ExtensionContext:
 
 @dataclass
 class Extension:
-    """A round-two outcome: the combined matching plus per-program overflow."""
+    """A round-two outcome: the combined matching, its largest per-program
+    overflow beyond round one and, for the cost objective, the round-two spend."""
 
     m2: Matching
-    deviation: dict[str, int]
     d_star: int
     round2_cost: int | None = None
-
-
-def barrier(round1: HrInstance, m1: Matching, program: str) -> str | None:
-    """The program's most preferred matched agent that prefers the program.
-
-    Any unmatched agent the program likes less than its barrier cannot join
-    it in round two without making the barrier agent envious.  Returns None
-    when no matched agent wants in.
-    """
-    assignment = m1.assignment
-    for a in round1.program_pref[program]:
-        cur = assignment.get(a)
-        if cur is not None and round1.agent_prefers(a, program, cur):
-            return a
-    return None
 
 
 def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
     """Build the extension graph for a stable round-one matching.
 
-    Starts from all edges incident to unmatched agents and removes those
-    below a barrier.  Raises :class:`NotStable` when ``m1`` is not stable in
+    Each program's barrier is the best rank among matched agents that list
+    it above their own program, found in one pass over those list prefixes;
+    each unmatched agent keeps the programs that rank it above their barrier.
+    Raises :class:`NotStable` when ``m1`` is not stable in
     ``round1`` (quota violations surface as :class:`QuotaViolated`).
     Unmatched agents stripped of every edge are reported as unextendable
     rather than failing the computation.
@@ -94,28 +82,25 @@ def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
         raise NotStable("the round-one matching admits a blocking pair")
 
     a_u = unmatched_agents(round1, m1)
-    barriers = {p: barrier(round1, m1, p) for p in round1.programs}
-    prank = round1.prank
-    adj: dict[str, list[str]] = {}
-    for a in a_u:
-        keep = []
-        for p in round1.agent_pref[a]:
-            b = barriers[p]
-            if b is not None and prank[p][a] > prank[p][b]:
-                continue  # below the barrier: joining p would make b envious
-            keep.append(p)
-        adj[a] = keep
-    return ExtensionContext(round1=round1, m1=m1, a_u=a_u, barriers=barriers, g_m=adj)
+    agent_pref, arank, prank = round1.agent_pref, round1.arank, round1.prank
+    # a program nobody envies keeps a barrier past the end of its list
+    bar = {p: len(lst) for p, lst in round1.program_pref.items()}
+    for a, cur in m1.assignment.items():
+        for p in agent_pref[a][:arank[a][cur]]:
+            r = prank[p][a]
+            if r < bar[p]:
+                bar[p] = r
+    # below the barrier, joining p would make the barrier agent envious
+    g_m = {a: [p for p in agent_pref[a] if prank[p][a] < bar[p]] for a in a_u}
+    return ExtensionContext(round1=round1, m1=m1, a_u=a_u, g_m=g_m)
 
 
 def _extension(ctx: ExtensionContext, extra: dict[str, str], round2_cost: int | None = None) -> Extension:
-    """Round one plus the leftover agents placed by ``extra``; each program's
+    """Round one plus the leftover agents placed by ``extra``; a program's
     overflow is the number of leftovers it takes on."""
     merged = ctx.m1.assignment | extra
-    added = Counter(extra.values())
-    dev = {p: added[p] for p in ctx.round1.programs}
     return Extension(m2=Matching({a: merged[a] for a in ctx.round1.agents if a in merged}),
-                     deviation=dev, d_star=max(dev.values(), default=0), round2_cost=round2_cost)
+                     d_star=max(Counter(extra.values()).values(), default=0), round2_cost=round2_cost)
 
 
 def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInstance:

@@ -280,17 +280,12 @@ def parse_set_cover(text: str) -> SetCoverInstance:
                 elements.append(e)
     if len(elements) != declared:
         raise ParseError(f"header declares {declared} elements but {len(elements)} appear")
-    counts = {e: 0 for e in elements}
-    for members in sets.values():
-        for e in set(members):
-            counts[e] += 1
-    occs = sorted(set(counts.values()))
-    if not occs:
+    if not elements:
         raise ParseError("no elements declared")
-    if len(occs) != 1:
-        raise ParseError("every element must occur in the same number of sets")
+    # the instance checks that every other element occurs as often as the first
+    f = sum(elements[0] in members for members in sets.values())
     try:
-        return SetCoverInstance(sets=sets, elements=elements, f=occs[0])
+        return SetCoverInstance(sets=sets, elements=elements, f=f)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

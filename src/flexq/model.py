@@ -62,17 +62,6 @@ class SmfqInstance:
     def is_acceptable(self, agent: str, program: str) -> bool:
         return program in self.arank.get(agent, ())
 
-    def agent_prefers(self, agent: str, program: str, current: str | None) -> bool:
-        """True when the agent strictly prefers ``program`` to ``current``.
-
-        ``current=None`` means the agent is unmatched and loses to anything
-        acceptable.  ``program`` must be on the agent's list.
-        """
-        r = self.arank[agent][program]
-        if current is None:
-            return True
-        return r < self.arank[agent][current]
-
 
 @dataclass
 class HrInstance(SmfqInstance):
@@ -98,19 +87,6 @@ class Matching:
     """
 
     assignment: dict[str, str] = field(default_factory=dict)
-
-    def get(self, agent: str) -> str | None:
-        return self.assignment.get(agent)
-
-    def roster(self) -> dict[str, list[str]]:
-        """Programs with at least one assigned agent, in assignment order."""
-        out: dict[str, list[str]] = {}
-        for a, p in self.assignment.items():
-            out.setdefault(p, []).append(a)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.assignment)
 
 
 OBJECTIVE_KINDS = ("total_cost", "max_cost", "max_deviation")

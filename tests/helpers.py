@@ -68,6 +68,17 @@ def hr_stable_naive(instance: HrInstance, assignment: dict[str, str]) -> bool:
     return True
 
 
+def extension_graph_naive(round1: HrInstance, assignment: dict[str, str]) -> dict[str, list[str]]:
+    """Each unmatched agent's programs, in its own order, that no matched agent
+    ranked above it there and preferring it to its own program blocks."""
+    return {
+        a: [p for p in round1.agent_pref[a]
+            if not any(prefers(round1, b, p, cur) and program_prefers(round1, p, b, a)
+                       for b, cur in assignment.items())]
+        for a in round1.agents if a not in assignment
+    }
+
+
 def deferred_acceptance_naive(instance: HrInstance) -> dict[str, str]:
     """Agent-proposing deferred acceptance with list scans for every choice.
 

@@ -114,4 +114,4 @@ def test_promotion_only_ever_fills_cheapest_seats():
         inst = bench_instance(seed)
         report = approx_promote(inst)
         allowed = set(min_cost_choice(inst).p_star.values())
-        assert set(report.matching.roster()) <= allowed, seed
+        assert set(report.matching.assignment.values()) <= allowed, seed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -279,6 +280,17 @@ def test_commands_look_solvers_up_at_call_time(capsys, fig1_h, monkeypatch):
 
 def test_every_exported_name_resolves():
     assert [name for name in flexq.__all__ if getattr(flexq, name, None) is None] == []
+
+
+def test_every_traced_benchmark_site_resolves():
+    # the benchmark tracer swaps these module attributes; a renamed one breaks its runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, attr) for module, attr, _ in spans.SITES
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert spans.SITES and missing == []
 
 
 @pytest.mark.parametrize("exc, code", [(MemoryError, 3), (RecursionError, 4)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import helpers
@@ -13,7 +15,6 @@ from flexq import (
     NotStable,
     QuotaViolated,
     ValidationError,
-    barrier,
     bench_hr_instance,
     compute_extendable,
     gale_shapley_a_optimal,
@@ -31,11 +32,9 @@ def canonical_context():
     return g, m1, compute_extendable(g, m1)
 
 
-def test_barriers_on_the_canonical_market():
-    g, m1, ctx = canonical_context()
-    assert barrier(g, m1, "p1") is None
-    assert barrier(g, m1, "p2") == "a4"  # a4 sits at p1 but wants p2
-    assert ctx.barriers == {"p1": None, "p2": "a4"}
+def overflow(m1: Matching, ext) -> Counter:
+    """How many leftover agents each program takes on in round two."""
+    return Counter(ext.m2.assignment.values()) - Counter(m1.assignment.values())
 
 
 def test_extension_graph_prunes_below_the_barrier():
@@ -59,17 +58,17 @@ def test_largest_extension_matches_everyone_to_their_top():
     ext = largest_extension(ctx)
     assert ext.m2.assignment == {"a1": "p1", "a2": "p2", "a4": "p1",
                                  "a3": "p2", "a5": "p2"}
-    assert ext.deviation == {"p1": 0, "p2": 2}
+    assert overflow(m1, ext) == {"p2": 2}
     assert ext.d_star == 2
     assert is_envy_free(g, ext.m2).ok
 
 
 def test_min_deviation_extension_balances_the_overflow():
-    g, _, ctx = canonical_context()
+    g, m1, ctx = canonical_context()
     ext = min_deviation_extension(ctx)
     assert ext.m2.assignment == {"a1": "p1", "a2": "p2", "a4": "p1",
                                  "a3": "p1", "a5": "p2"}
-    assert ext.deviation == {"p1": 1, "p2": 1}
+    assert overflow(m1, ext) == {"p1": 1, "p2": 1}
     assert ext.d_star == 1
     assert ext.round2_cost is None
     assert is_envy_free(g, ext.m2).ok
@@ -125,7 +124,6 @@ def test_unmatchable_agents_are_reported_not_matched():
     m1 = gale_shapley_a_optimal(g)
     assert m1.assignment == {"a0": "p2", "a1": "p1"}
     ctx = compute_extendable(g, m1)
-    assert ctx.barriers == {"p1": None, "p2": "a1"}
     assert ctx.a_u_matchable == []
     assert ctx.unextendable == ["a2"]
     ext = min_deviation_extension(ctx)
@@ -139,6 +137,16 @@ def test_unmatchable_agents_are_reported_not_matched():
     # and indeed placing a2 at p2 would make a1 envious
     forced = Matching(dict(m1.assignment) | {"a2": "p2"})
     assert not is_envy_free(g, forced).ok
+
+
+def test_extension_graph_matches_the_naive_scan():
+    """Every stable round one, not only deferred acceptance's, on small markets."""
+    for seed in range(80):
+        inst = bench_hr_instance(seed)
+        rounds = [gale_shapley_a_optimal(inst).assignment, *helpers.all_hr_stable_assignments(inst)]
+        for assignment in rounds:
+            ctx = compute_extendable(inst, Matching(assignment))
+            assert ctx.g_m == helpers.extension_graph_naive(inst, assignment), (seed, assignment)
 
 
 def test_every_extension_is_envy_free_on_the_full_market():

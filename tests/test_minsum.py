@@ -141,6 +141,24 @@ def test_agrees_with_enumeration_on_set_cover_reductions():
                 assert (report.objective, report.matching) == helpers.minsum_by_enumeration(inst), sets
 
 
+@pytest.mark.parametrize("n, seed", [(16, 0), (16, 1), (16, 2), (20, 0)])
+def test_solves_the_first_vertex_cover_ladder_rungs(n, seed):
+    # the set-cover reduction of a graph on v0..v{n-1} with the first 1.5n shuffled pairs as edges
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(vertices, 2))
+    random.Random(seed).shuffle(pairs)
+    edges = pairs[:3 * n // 2]
+    sets: dict[str, list[str]] = {v: [] for v in vertices}
+    for k, (u, v) in enumerate(edges):
+        sets[u].append(f"e{k}")
+        sets[v].append(f"e{k}")
+    inst = reduce_set_cover(SetCoverInstance(sets=sets, elements=[f"e{k}" for k in range(len(edges))], f=2))
+    report = solve_minsum_exact(inst)
+    assert report.objective == len(edges) + helpers.brute_min_vertex_cover(vertices, edges)
+    assert is_a_perfect(inst, report.matching)
+    assert is_envy_free(inst, report.matching).ok
+
+
 def test_first_optimal_tuple_wins_when_the_seed_equals_the_optimum():
     # tuples (a1, a2) by level: (1, 2) is envious, (1, 3) and (2, 2) both
     # spend 4, and the approximations find (2, 2), so the seed is the optimum

@@ -152,24 +152,8 @@ def test_rank_lookups_follow_list_positions():
     assert not inst.is_acceptable("a2", "p1")
 
 
-def test_agent_prefers_treats_unmatched_as_wanting_anything_listed():
-    inst = tiny()
-    assert inst.agent_prefers("a1", "p1", "p2")
-    assert not inst.agent_prefers("a1", "p2", "p1")
-    assert inst.agent_prefers("a1", "p2", None)
-    assert inst.agent_prefers("a2", "p2", None)
-
-
 # ---------------------------------------------------------------------------
 # matchings and objectives
-
-
-def test_roster_groups_by_program_in_assignment_order():
-    m = Matching({"a2": "p1", "a3": "p2", "a1": "p1"})
-    assert m.roster() == {"p1": ["a2", "a1"], "p2": ["a3"]}
-    assert len(m) == 3
-    assert m.get("a2") == "p1"
-    assert m.get("zz") is None
 
 
 def test_objectives_on_the_canonical_market():
