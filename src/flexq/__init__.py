@@ -41,7 +41,7 @@ from .generators import (GraphInstance, SetCoverInstance, bench_hr_instance,
                          reduce_set_cover, reduce_vertex_cover)
 from .hr import gale_shapley_a_optimal, unmatched_agents
 from .minmax import build_quota_instance, feasible_at, solve_minmax
-from .minsum import distinct_costs_per_agent, prune, solve_minsum_exact
+from .minsum import distinct_costs_per_agent, solve_minsum_exact
 from .model import (HrInstance, Matching, SmfqInstance, SolveReport,
                     is_a_perfect, is_envy_free, is_hr_stable, max_cost,
                     total_cost, validate)
@@ -106,7 +106,6 @@ __all__ = [
     "parse_instance",
     "parse_matching",
     "parse_set_cover",
-    "prune",
     "reduce_set_cover",
     "reduce_vertex_cover",
     "serialize_instance",

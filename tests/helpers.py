@@ -2,16 +2,14 @@
 
 Everything here is written independently of the package internals — naive
 list scans and brute-force enumeration only — so agreement between these
-helpers and the library is meaningful evidence, not circularity.  The one
-exception is ``minsum_by_enumeration``: it reuses the library's envy pruning
-to check the exact solver's search, while the oracle checks the pruning.
+helpers and the library is meaningful evidence, not circularity.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from flexq import HrInstance, Matching, SmfqInstance, distinct_costs_per_agent, prune
+from flexq import HrInstance, Matching, SmfqInstance, distinct_costs_per_agent
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,8 @@ def brute_min_max(instance: SmfqInstance) -> int:
             per[p] = per.get(p, 0) + instance.cost[p]
         worst = max(per.values(), default=0)
         best = worst if best is None else min(best, worst)
-    assert best is not None
+    if best is None:
+        raise AssertionError("the market has no envy-free a-perfect matching")
     return best
 
 
@@ -198,13 +197,34 @@ def tuple_graph(instance: SmfqInstance, choice: tuple[int, ...]) -> dict[str, se
             for a, c in zip(instance.agents, choice)}
 
 
+def prune_naive(instance: SmfqInstance, adjsets: dict[str, set[str]]) -> str | None:
+    """Envy pruning to a fixed point by list scans, mutating ``adjsets`` in place.
+
+    While some agent a prefers a program q to every program it has left, no
+    agent that q ranks below a may keep q.  Returns the first agent, in
+    instance order, left with nothing, or None if all keep a program.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for a in instance.agents:
+            lst = instance.agent_pref[a]
+            top = min((lst.index(p) for p in adjsets[a]), default=0)
+            for q in lst[:top]:
+                for x in instance.agents:
+                    if q in adjsets[x] and program_prefers(instance, q, a, x):
+                        adjsets[x].discard(q)
+                        changed = True
+    return next((a for a in instance.agents if not adjsets[a]), None)
+
+
 def surviving_cost_tuples(instance: SmfqInstance):
     """Yield ``(spend, assignment)`` for every cost tuple that survives envy
     pruning, in ascending lexicographic tuple order; each tuple is pruned
     from scratch and every agent takes its best surviving program."""
     for choice in itertools.product(*distinct_costs_per_agent(instance)):
         adjsets = tuple_graph(instance, choice)
-        if prune(instance, adjsets) is not None:
+        if prune_naive(instance, adjsets) is not None:
             continue
         assignment = {a: next(p for p in instance.agent_pref[a] if p in adjsets[a])
                       for a in instance.agents}
