@@ -56,37 +56,28 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
 
     Programs are processed in instance order; each scans its list from worst
     to best and pulls in any agent that prefers it while it houses somebody
-    worse.  Agents only ever move to programs they like strictly better, and
-    a program never gains its first agent this way, so only cheapest-choice
-    programs are ever occupied.
+    worse.  The first agent met that already sits at the program is its
+    worst member, and everyone pulled in ranks above it, so one flag per
+    program tells whether somebody worse is housed.  Agents only ever move
+    to programs they like strictly better, and a program never gains its
+    first agent this way, so only cheapest-choice programs are ever occupied.
     """
     choice = min_cost_choice(instance)
     match = dict(choice.p_star)
-    roster: dict[str, set[str]] = {p: set() for p in instance.programs}
-    for a, p in match.items():
-        roster[p].add(a)
-    arank, prank = instance.arank, instance.prank
+    arank = instance.arank
 
     for p in instance.programs:
-        ranks = prank[p]
-        members = roster[p]
-        worst = max((ranks[x] for x in members), default=-1)
+        houses_worse = False
         for a in reversed(instance.program_pref[p]):
-            if match[a] == p:
-                continue
-            r = ranks[a]
-            if r >= worst:
-                continue  # nobody currently at p is worse than a
-            if arank[a][p] >= arank[a][match[a]]:
-                continue  # a does not prefer p to its current program
-            roster[match[a]].discard(a)
-            members.add(a)  # joins above the current worst, so worst stands
-            match[a] = p
+            cur = match[a]
+            if cur == p:
+                houses_worse = True  # p's worst member; everyone above it may move in
+            elif houses_worse and arank[a][p] < arank[a][cur]:
+                match[a] = p
 
-    occupied = {p for p, members in roster.items() if members}
-    if not occupied <= set(choice.p_star.values()):
+    if not set(match.values()) <= set(choice.p_star.values()):
         raise AssertionError("promotion occupied a program no agent chose as its cheapest")
-    m = Matching({a: match[a] for a in instance.agents})
+    m = Matching(match)
     return SolveReport(m, total_cost(instance, m), "total_cost", "promote", certified_optimal=False)
 
 

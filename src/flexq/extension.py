@@ -104,11 +104,16 @@ def _extension(ctx: ExtensionContext, extra: dict[str, str], round2_cost: int | 
 
 
 def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInstance:
-    """The extension graph as a standalone cost market for the round-two solvers."""
+    """The extension graph as a standalone cost market for the round-two solvers;
+    its first program in round-one order without a price raises :class:`ValidationError`."""
     adj = ctx.g_m
     agents = ctx.a_u_matchable
     onlist = {a: set(adj[a]) for a in agents}
-    programs = [p for p in ctx.round1.programs if any(p in onlist[a] for a in agents)]
+    in_graph = set().union(*onlist.values())
+    programs = [p for p in ctx.round1.programs if p in in_graph]
+    for p in programs:
+        if p not in cost:
+            raise ValidationError(f"missing round-two cost for program {p}")
     inst = SmfqInstance(
         agents=agents,
         programs=programs,
@@ -150,17 +155,13 @@ def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int],
     """Match all matchable leftovers while minimizing round-two spend.
 
     ``round2_costs`` prices each program for the second round.  Every program
-    left in the extension graph needs a price, and the restricted market's
-    validation raises :class:`NegativeCost` at the first bad one.
+    left in the extension graph needs a price: the restricted market raises
+    :class:`ValidationError` at the first one missing and its validation
+    :class:`NegativeCost` at the first bad one.
     ``budget`` and ``force`` go to the exact total-spend solver, which raises
     :class:`BudgetExceeded` when the restricted market has too many cost
     tuples.
     """
-    needed = {p for a in ctx.a_u_matchable for p in ctx.g_m[a]}
-    missing = [p for p in ctx.round1.programs if p in needed and p not in round2_costs]
-    if missing:
-        raise ValidationError(f"missing round-two cost for program {missing[0]}")
-
     if not ctx.a_u_matchable:
         # an empty market still counts one cost tuple, which budget 0 would refuse
         return _extension(ctx, {}, round2_cost=0)

@@ -87,8 +87,6 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         raise ParseError(f"expected header 'smfq 1' or 'hr 1', got {header!r}", lineno)
     kind = parts[0]
 
-    agents: list[str] = []
-    programs: list[str] = []
     agent_pref: dict[str, list[str]] = {}
     program_pref: dict[str, list[str]] = {}
     cost: dict[str, int] = {}
@@ -122,7 +120,6 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             a = _check_ident(tokens[0], lineno)
             if a in agent_pref:
                 raise ParseError(f"duplicate agent line for {a}", lineno)
-            agents.append(a)
             agent_pref[a] = _ident_list(tail, lineno)
         else:
             tokens = head.split()
@@ -145,7 +142,6 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
                 raise ParseError(f"program {p} is missing quota=<int>, required by 'hr 1'", lineno)
             if kind == "smfq" and "quota" in keys:
                 raise ParseError(f"program {p} carries a quota, not allowed in 'smfq 1'", lineno)
-            programs.append(p)
             program_pref[p] = _ident_list(tail, lineno)
             cost[p] = keys["cost"]
             if kind == "hr":
@@ -156,16 +152,18 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
 
     # one set test per side; the ordered scan runs only to name the first offender
     if not program_pref.keys() >= set().union(*agent_pref.values()):
-        for a in agents:
-            for p in agent_pref[a]:
+        for a, lst in agent_pref.items():
+            for p in lst:
                 if p not in program_pref:
                     raise ParseError(f"agent {a} references undeclared program {p}")
     if not agent_pref.keys() >= set().union(*program_pref.values()):
-        for p in programs:
-            for a in program_pref[p]:
+        for p, lst in program_pref.items():
+            for a in lst:
                 if a not in agent_pref:
                     raise ParseError(f"program {p} references undeclared agent {a}")
 
+    # the dicts keep declaration order, so their keys are the id lists
+    agents, programs = list(agent_pref), list(program_pref)
     if kind == "hr":
         instance: SmfqInstance = HrInstance(agents, programs, agent_pref, program_pref, cost, quota=quota)
     else:
@@ -261,8 +259,6 @@ def parse_set_cover(text: str) -> SetCoverInstance:
     declared = _parse_int(parts[1], "element count", lineno)
 
     sets: dict[str, list[str]] = {}
-    elements: list[str] = []
-    seen = set()
     for lineno, line in lines[1:]:
         if not line.startswith("set "):
             raise ParseError("expected 'set <id>: <element ids>'", lineno)
@@ -272,12 +268,8 @@ def parse_set_cover(text: str) -> SetCoverInstance:
         sid = _check_ident(head.strip(), lineno)
         if sid in sets:
             raise ParseError(f"duplicate set {sid}", lineno)
-        members = _ident_list(tail, lineno)
-        sets[sid] = members
-        for e in members:
-            if e not in seen:
-                seen.add(e)
-                elements.append(e)
+        sets[sid] = _ident_list(tail, lineno)
+    elements = list(dict.fromkeys(e for members in sets.values() for e in members))
     if len(elements) != declared:
         raise ParseError(f"header declares {declared} elements but {len(elements)} appear")
     if not elements:
@@ -292,8 +284,6 @@ def parse_set_cover(text: str) -> SetCoverInstance:
 
 def parse_graph(text: str) -> GraphInstance:
     """Parse ``edge <u> <v>`` lines; vertices appear in first-mention order."""
-    vertices: list[str] = []
-    seen = set()
     edges: list[tuple[str, str]] = []
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
@@ -301,11 +291,8 @@ def parse_graph(text: str) -> GraphInstance:
             raise ParseError("expected 'edge <u> <v>'", lineno)
         u = _check_ident(parts[1], lineno)
         v = _check_ident(parts[2], lineno)
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                vertices.append(w)
         edges.append((u, v))
+    vertices = list(dict.fromkeys(w for edge in edges for w in edge))
     try:
         return GraphInstance(vertices=vertices, edges=edges)
     except ValueError as exc:

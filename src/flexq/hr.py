@@ -31,16 +31,17 @@ class DaState(NamedTuple):
 
     ``slots`` maps each program with seats to ``(roster heap, seats, rank
     table)``; the heap holds ``(-rank, agent)``, so the worst tentative agent
-    sits on top.  ``nxt`` maps each agent to the index of its next proposal,
-    and ``match`` each held agent to its program.
+    sits on top.  ``nxt`` maps each agent to the index of its next proposal.
+    The rosters are the one record of who holds whom; :meth:`matching` reads
+    the matching off them.
     """
 
     slots: dict[str, tuple[list[tuple[int, str]], int, dict[str, int]]]
     nxt: dict[str, int]
-    match: dict[str, str]
 
     def matching(self, instance: SmfqInstance) -> Matching:
-        return Matching({a: self.match[a] for a in instance.agents if a in self.match})
+        held = {a: p for p, (heap, _, _) in self.slots.items() for _, a in heap}
+        return Matching({a: held[a] for a in instance.agents if a in held})
 
 
 def gale_shapley_a_optimal(instance: SmfqInstance, quota: dict[str, int] | None = None) -> Matching:
@@ -65,7 +66,7 @@ def deferred_acceptance_state(instance: SmfqInstance, quota: dict[str, int]) -> 
     return its final state, which :func:`resume_with_fewer_seats` can carry on."""
     prank = instance.prank
     state = DaState({p: ([], quota[p], prank[p]) for p in instance.programs if quota.get(p, 0) >= 1},
-                    dict.fromkeys(instance.agents, 0), {})
+                    dict.fromkeys(instance.agents, 0))
     free = deque(instance.agents)
     while _propose(instance.agent_pref, state, free) is not None:
         pass  # that agent's list ran out: it stays unmatched
@@ -83,37 +84,34 @@ def resume_with_fewer_seats(instance: SmfqInstance, state: DaState,
     again; otherwise stops at the first agent whose list runs out and
     returns that agent with a partial state.
     """
-    match = dict(state.match)
     slots = {}
     free: deque[str] = deque()
     for p, (heap, _, ranks) in state.slots.items():
         seats = quota.get(p, 0)
         if seats == 0:  # left out: everyone it holds leaves
-            for _, a in heap:
-                del match[a]
-                free.append(a)
+            free.extend(a for _, a in heap)
             continue
         heap = heap[:]
         while len(heap) > seats:
-            a = heappop(heap)[1]
-            del match[a]
-            free.append(a)
+            free.append(heappop(heap)[1])
         slots[p] = (heap, seats, ranks)
-    out = DaState(slots, dict(state.nxt), match)
+    out = DaState(slots, dict(state.nxt))
     return out, _propose(instance.agent_pref, out, free)
 
 
 def _propose(pref: dict[str, list[str]], state: DaState, free: deque[str]) -> str | None:
     """Let the free agents propose on from ``state.nxt`` until nobody is free.
 
-    This is the package's one proposal loop.  Returns None once ``free`` is
-    empty.  If an agent's list runs out first, the run stops and returns
-    that agent, now unmatched and out of ``free``; a further call carries on
-    with the rest.  Every list entry an agent passes advances its ``nxt``,
-    including entries skipped because the program has no seats, so the sum
-    of ``nxt`` counts the proposals made.
+    This is the package's one proposal loop.  An acceptance pushes the
+    proposer onto the program's roster heap and an eviction sends the agent
+    popped off its top back to ``free``; nothing else is updated.  Returns
+    None once ``free`` is empty.  If an agent's list runs out first, the run
+    stops and returns that agent, now unmatched and out of ``free``; a
+    further call carries on with the rest.  Every list entry an agent passes
+    advances its ``nxt``, including entries skipped because the program has
+    no seats, so the sum of ``nxt`` counts the proposals made.
     """
-    slots, nxt, match = state
+    slots, nxt = state
     while free:
         a = free.popleft()
         lst = pref[a]
@@ -128,14 +126,10 @@ def _propose(pref: dict[str, list[str]], state: DaState, free: deque[str]) -> st
             r = ranks[a]
             if len(heap) < seats:
                 heappush(heap, (-r, a))
-                match[a] = p
                 break
             if r < -heap[0][0]:
                 # p trades its worst tentative agent for the proposer
-                w = heapreplace(heap, (-r, a))[1]
-                del match[w]
-                free.append(w)
-                match[a] = p
+                free.append(heapreplace(heap, (-r, a))[1])
                 break
         else:
             nxt[a] = i

@@ -105,6 +105,28 @@ def deferred_acceptance_naive(instance: HrInstance) -> dict[str, str]:
     return {a: p for p in instance.programs for a in rosters[p]}
 
 
+def promote_naive(instance: SmfqInstance) -> dict[str, str]:
+    """The promotion heuristic by list scans.
+
+    Every agent starts at its cheapest program, ties to the one it lists
+    first.  Then each program in instance order walks its list from the
+    bottom up and takes in every agent that prefers it to where that agent
+    sits, provided the program currently houses someone it ranks below
+    that agent.
+    """
+    match = {}
+    for a in instance.agents:
+        lst = instance.agent_pref[a]
+        match[a] = min(lst, key=lambda p: (instance.cost[p], lst.index(p)))
+    for p in instance.programs:
+        for a in reversed(instance.program_pref[p]):
+            members = [x for x in instance.agents if match[x] == p]
+            if (prefers(instance, a, p, match[a])
+                    and any(program_prefers(instance, p, a, x) for x in members)):
+                match[a] = p
+    return match
+
+
 def threshold_market(instance: SmfqInstance, t: int) -> HrInstance:
     """The quota market of spending threshold t, built as a separate market.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import helpers
 from flexq import (
     SmfqInstance,
     approx_promote,
@@ -14,6 +15,8 @@ from flexq import (
     gen_example2,
     gen_fig1,
     gen_fig2,
+    gen_master_list,
+    gen_random,
     is_a_perfect,
     is_envy_free,
     lower_bound_sum,
@@ -115,3 +118,14 @@ def test_promotion_only_ever_fills_cheapest_seats():
         report = approx_promote(inst)
         allowed = set(min_cost_choice(inst).p_star.values())
         assert set(report.matching.assignment.values()) <= allowed, seed
+
+
+def test_promotion_equals_the_naive_list_scan():
+    markets = [(f"bench {seed}", bench_instance(seed)) for seed in range(3000)]
+    for seed in range(10):
+        n = 100 + 20 * seed
+        markets += [(f"random {n}", gen_random(n, 15, 4, 9, seed)),
+                    (f"master {n}", gen_master_list(n, 15, 4, 9, seed))]
+    for label, inst in markets:
+        got = approx_promote(inst).matching.assignment
+        assert list(got.items()) == list(helpers.promote_naive(inst).items()), label

@@ -332,6 +332,23 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_only_the_standard_library():
+    # the runtime stays stdlib-only; relative imports stay inside the package
+    pkg = Path(flexq.__file__).resolve().parent
+    outside = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
 def test_console_entry_point(capsys, fig1_h, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["flexq", "solve", "minmax", fig1_h])
     with pytest.raises(SystemExit) as exc:

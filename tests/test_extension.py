@@ -107,6 +107,35 @@ def test_min_cost_extension_validates_its_price_table():
         min_cost_extension(ctx, {"p1": -1, "p2": -2})
 
 
+def two_leftover_programs_market() -> HrInstance:
+    """u is left over and may join p3 or p2; nobody can join p1."""
+    return HrInstance(
+        agents=["x1", "x2", "x3", "u"],
+        programs=["p1", "p2", "p3"],
+        agent_pref={"x1": ["p1"], "x2": ["p2"], "x3": ["p3"], "u": ["p3", "p2"]},
+        program_pref={"p1": ["x1"], "p2": ["x2", "u"], "p3": ["x3", "u"]},
+        cost={"p1": 0, "p2": 0, "p3": 0},
+        quota={"p1": 1, "p2": 1, "p3": 1},
+    )
+
+
+def test_missing_round_two_prices_name_the_first_program_in_round_one_order():
+    g = two_leftover_programs_market()
+    ctx = compute_extendable(g, gale_shapley_a_optimal(g))
+    assert ctx.g_m == {"u": ["p3", "p2"]}
+    # u lists p3 first, but the round-one market lists p2 first
+    with pytest.raises(ValidationError, match="missing round-two cost for program p2$"):
+        min_cost_extension(ctx, {"p1": 1})
+
+
+def test_programs_outside_the_extension_graph_need_no_price():
+    g = two_leftover_programs_market()
+    ctx = compute_extendable(g, gale_shapley_a_optimal(g))
+    ext = min_cost_extension(ctx, {"p2": 1, "p3": 2})
+    assert ext.m2.assignment["u"] == "p2"
+    assert ext.round2_cost == 1
+
+
 def unextendable_market() -> HrInstance:
     """a2 sits below the barrier on the only program it lists."""
     return HrInstance(
@@ -134,6 +163,8 @@ def test_unmatchable_agents_are_reported_not_matched():
     assert ext.round2_cost == 0
     # nothing to search, so even a zero budget is enough
     assert min_cost_extension(ctx, {"p1": 4, "p2": 4}, budget=0).round2_cost == 0
+    # and with no leftover to place, no program needs a price
+    assert min_cost_extension(ctx, {}).round2_cost == 0
     # and indeed placing a2 at p2 would make a1 envious
     forced = Matching(dict(m1.assignment) | {"a2": "p2"})
     assert not is_envy_free(g, forced).ok

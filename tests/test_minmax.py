@@ -20,6 +20,7 @@ from flexq import (
     max_cost,
     solve_minmax,
 )
+from flexq.hr import deferred_acceptance_state, resume_with_fewer_seats
 
 
 def test_canonical_market_threshold_and_matching():
@@ -154,6 +155,32 @@ def test_warm_started_search_equals_naive_deferred_acceptance_at_the_optimum():
         report = solve_minmax(inst)
         market = helpers.threshold_market(inst, report.objective)
         assert report.matching.assignment == helpers.deferred_acceptance_naive(market), label
+
+
+def _resume_markets():
+    for seed in range(600):
+        yield f"bench {seed}", bench_instance(seed)
+    for seed, n in enumerate((100, 200, 300)):
+        yield f"random {n}", gen_random(n, 12, 4, 3, seed)
+        yield f"master {n}", gen_master_list(n, 12, 4, 3, seed)
+
+
+def test_resume_from_the_top_equals_naive_deferred_acceptance_at_every_threshold():
+    """Resuming the top-of-range state at any smaller threshold is stuck
+    exactly when deferred acceptance on the rebuilt market leaves someone
+    out, reaches that market's matching otherwise, and leaves the state
+    it started from as it was."""
+    for label, inst in _resume_markets():
+        top = len(inst.agents) * max(inst.cost.values())
+        state = deferred_acceptance_state(inst, build_quota_instance(inst, top))
+        before, nxt = state.matching(inst).assignment, dict(state.nxt)
+        for t in range(top):
+            probe, stuck = resume_with_fewer_seats(inst, state, build_quota_instance(inst, t))
+            naive = helpers.deferred_acceptance_naive(helpers.threshold_market(inst, t))
+            assert (stuck is None) == (len(naive) == len(inst.agents)), (label, t)
+            if stuck is None:
+                assert probe.matching(inst).assignment == naive, (label, t)
+        assert state.matching(inst).assignment == before and state.nxt == nxt, label
 
 
 def test_search_counters_are_deterministic_and_count_the_probes():
