@@ -98,8 +98,8 @@ class SolveReport:
 
     ``stats`` holds deterministic work counters where a solver reports them
     (``solve_minsum_exact``: ``tuples``, ``nodes``, ``leaves``;
-    ``solve_minmax`` and ``approx_via_minmax``: ``probes``, ``proposals``);
-    equality ignores it.
+    ``solve_minmax`` and ``approx_via_minmax``: ``probes``, ``proposals``;
+    the oracles: ``nodes``, ``leaves``); equality ignores it.
     """
 
     matching: Matching

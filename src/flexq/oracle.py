@@ -9,15 +9,20 @@ The search prunes on envy already created by a partial assignment.  That is
 sound because an envy pair never goes away as more agents are placed: the
 envied roster only grows and the envious agent's assignment is already
 fixed.
+
+Each full assignment is scored from the walk's own rosters (cost times
+roster size, summed or maximised over programs) and copied out only when it
+strictly beats the best so far, so the lexicographically first optimum wins.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 from .budget import check_budget
-from .model import Matching, SmfqInstance, SolveReport, max_cost, total_cost
+from .model import Matching, SmfqInstance, SolveReport
 
 
 def enumerate_a_perfect_stable(
@@ -29,30 +34,37 @@ def enumerate_a_perfect_stable(
     its preference order.  Raises :class:`BudgetExceeded` upfront when the
     full assignment space tops the budget, unless forced.
     """
+    return (Matching(dict(assignment)) for assignment, _ in _checked_walk(instance, budget, force, {}))
+
+
+def _checked_walk(instance: SmfqInstance, budget: int | None, force: bool, stats: dict) -> Iterator:
     space = math.prod(len(instance.agent_pref[a]) for a in instance.agents)
     check_budget(space, budget, force, "assignments")
-    return _stable_assignments(instance)
+    return _walk(instance, stats)
 
 
-def _stable_assignments(instance: SmfqInstance) -> Iterator[Matching]:
-    # depth-first over agents with an explicit stack, so deep markets cannot
-    # exhaust the interpreter's recursion limit; cands[i] iterates agent i's
-    # remaining candidates, watched[i] holds the rosters agent i envies into
+def _walk(instance: SmfqInstance, stats: dict[str, int]) -> Iterator[tuple[dict, dict]]:
+    # depth-first with an explicit stack, so deep markets cannot exhaust the
+    # recursion limit; yields the live assignment and rosters (members' ranks)
+    # at each leaf.  choices[i]: agent i's (program, its rank of i, the pairs
+    # above it); cands[i] iterates what is left, watched[i] the pairs i envies
     agents = instance.agents
     n = len(agents)
-    pref = instance.agent_pref
-    arank, prank = instance.arank, instance.prank
+    choices = []
+    for a in agents:
+        pairs = [(p, instance.prank[p][a]) for p in instance.agent_pref[a]]
+        choices.append([(p, rp, pairs[:k]) for k, (p, rp) in enumerate(pairs)])
     assignment: dict[str, str] = {}
     members: dict[str, list[int]] = {p: [] for p in instance.programs}
     enviers: dict[str, list[int]] = {p: [] for p in instance.programs}
-    cands: list[Iterator[str] | None] = [None] * n
+    cands = [iter(c) for c in choices]
     watched: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    if n:
-        cands[0] = iter(pref[agents[0]])
+    nodes = leaves = 0
     i = 0
     while i >= 0:
         if i == n:
-            yield Matching(dict(assignment))
+            leaves += 1
+            yield assignment, members
             i -= 1
             continue
         a = agents[i]
@@ -61,57 +73,50 @@ def _stable_assignments(instance: SmfqInstance) -> Iterator[Matching]:
             members[p].pop()
             for q, _ in watched[i]:
                 enviers[q].pop()
-        lst = pref[a]
-        for p in cands[i]:
-            rp = prank[p][a]
+        for p, rp, above in cands[i]:
             env = enviers[p]
             # someone already placed prefers p and outranks a there
             if env and min(env) < rp:
                 continue
-            w: list[tuple[str, int]] = []
-            ok = True
-            for q in lst[: arank[a][p]]:
-                rq = prank[q][a]
+            for q, rq in above:
                 mq = members[q]
                 if mq and max(mq) > rq:
-                    ok = False  # a would envy a worse agent already at q
-                    break
-                w.append((q, rq))
-            if not ok:
-                continue
-            assignment[a] = p
-            members[p].append(rp)
-            for q, rq in w:
-                enviers[q].append(rq)
-            watched[i] = w
-            i += 1
-            if i < n:
-                cands[i] = iter(pref[agents[i]])
-            break
+                    break  # a would envy a worse agent already at q
+            else:
+                nodes += 1
+                assignment[a] = p
+                members[p].append(rp)
+                for q, rq in above:
+                    enviers[q].append(rq)
+                watched[i] = above
+                i += 1
+                if i < n:
+                    cands[i] = iter(choices[i])
+                break
         else:
             i -= 1
+    stats.update(nodes=nodes, leaves=leaves)
 
 
-def _best(instance: SmfqInstance, score: Callable[[SmfqInstance, Matching], int],
+def _best(instance: SmfqInstance, fold: Callable[[Iterable[int]], int],
           kind: str, method: str, budget: int | None, force: bool) -> SolveReport:
-    """The first full stable assignment with the smallest ``score``."""
-    best: Matching | None = None
-    best_cost = 0
-    for m in enumerate_a_perfect_stable(instance, budget=budget, force=force):
-        c = score(instance, m)
+    """The first full stable assignment whose program spends ``fold`` smallest."""
+    stats: dict[str, int] = {}
+    best, best_cost = None, 0
+    for assignment, members in _checked_walk(instance, budget, force, stats):
+        c = fold(instance.cost[p] * len(m) for p, m in members.items())
         if best is None or c < best_cost:
-            best, best_cost = m, c
+            best, best_cost = Matching(dict(assignment)), c
     if best is None:
         raise AssertionError("a validated instance always admits the top-choice matching")
-    return SolveReport(best, best_cost, kind, method, certified_optimal=True)
+    return SolveReport(best, best_cost, kind, method, certified_optimal=True, stats=stats)
 
 
 def oracle_minsum(instance: SmfqInstance, budget: int | None = None, force: bool = False) -> SolveReport:
     """Minimum total spend over all full stable assignments, by enumeration."""
-    return _best(instance, total_cost, "total_cost", "oracle-minsum", budget, force)
+    return _best(instance, sum, "total_cost", "oracle-minsum", budget, force)
 
 
 def oracle_minmax(instance: SmfqInstance, budget: int | None = None, force: bool = False) -> SolveReport:
     """Minimum max spend over all full stable assignments, by enumeration."""
-    return _best(instance, max_cost, "max_cost", "oracle-minmax", budget, force)
-
+    return _best(instance, partial(max, default=0), "max_cost", "oracle-minmax", budget, force)

@@ -107,6 +107,15 @@ def test_oracle_subcommand(capsys, fig1_h):
     assert code == 0 and "# objective=4" in out
 
 
+def test_oracle_on_the_empty_market(capsys, tmp_path):
+    path = tmp_path / "empty.smfq"
+    path.write_text("smfq 1\n[agents]\n[programs]\n")
+    for objective in ("minsum", "minmax"):
+        code, out, _ = run(capsys, "oracle", objective, str(path))
+        assert code == 0
+        assert out == f"# objective=0\n# method=oracle-{objective}\n# certified=true\n"
+
+
 def test_oracle_handles_markets_deeper_than_the_recursion_limit(capsys, tmp_path):
     # one program, so the search space is a single assignment, but the
     # enumeration descends once per agent
@@ -347,6 +356,14 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_oracle_imports_only_instance_accessors_from_the_package():
+    # the oracle is the independent ground truth: no solver module may feed it
+    path = Path(flexq.__file__).resolve().parent / "oracle.py"
+    sources = [node.module for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert sources and set(sources) <= {"model", "budget", "errors"}, sources
 
 
 def test_console_entry_point(capsys, fig1_h, monkeypatch):

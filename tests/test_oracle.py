@@ -7,12 +7,17 @@ import pytest
 import helpers
 from flexq import (
     BudgetExceeded,
+    Matching,
     bench_hr_instance,
     bench_instance,
     enumerate_a_perfect_stable,
     gen_fig1,
+    gen_random,
+    max_cost,
     oracle_minmax,
     oracle_minsum,
+    parse_instance,
+    total_cost,
 )
 
 
@@ -71,6 +76,10 @@ def test_budget_guards_the_enumeration():
     with pytest.raises(BudgetExceeded):
         oracle_minmax(h, budget=15)
     assert oracle_minmax(h, budget=16).objective == 4
+    # the enumerator refuses when called, before anything asks for a leaf
+    with pytest.raises(BudgetExceeded):
+        enumerate_a_perfect_stable(h, budget=15)
+    assert len(list(enumerate_a_perfect_stable(h, budget=16))) == 5
 
 
 def test_oracle_minimum_is_a_true_minimum():
@@ -80,3 +89,50 @@ def test_oracle_minimum_is_a_true_minimum():
         costs = [sum(inst.cost[p] for p in m.assignment.values())
                  for m in enumerate_a_perfect_stable(inst)]
         assert best.objective == min(costs), seed
+
+
+def _spends(instance, assignment):
+    per: dict[str, int] = {}
+    for p in assignment.values():
+        per[p] = per.get(p, 0) + instance.cost[p]
+    return per
+
+
+def test_oracles_return_the_first_optimum_in_product_order():
+    """Checked against the naive product filter, whose order is the same
+    lexicographic order, on markets where many assignments tie."""
+    markets = [bench_instance(s) for s in range(300)]
+    markets += [gen_random(8, 4, 3, 2, s) for s in range(20)]
+    for k, inst in enumerate(markets):
+        stable = helpers.all_stable_assignments(inst)
+        for oracle, score, brute, recheck in (
+            (oracle_minsum, lambda m: sum(_spends(inst, m).values()),
+             helpers.brute_min_total, total_cost),
+            (oracle_minmax, lambda m: max(_spends(inst, m).values(), default=0),
+             helpers.brute_min_max, max_cost),
+        ):
+            r = oracle(inst)
+            assert r.objective == brute(inst), (k, r.method)
+            first = next(m for m in stable if score(m) == r.objective)
+            assert list(r.matching.assignment.items()) == list(first.items()), (k, r.method)
+            assert recheck(inst, r.matching) == r.objective, (k, r.method)
+
+
+def test_work_counters():
+    for seed in range(100):
+        inst = bench_instance(seed)
+        rs, rm = oracle_minsum(inst), oracle_minmax(inst)
+        assert rs.stats["leaves"] == len(helpers.all_stable_assignments(inst)), seed
+        assert rs.stats["nodes"] >= rs.stats["leaves"], seed
+        # both oracles walk the same tree, and the counts repeat
+        assert rs.stats == rm.stats == oracle_minsum(inst).stats, seed
+    _, h = gen_fig1()
+    assert oracle_minsum(h).stats == oracle_minmax(h).stats == {"nodes": 21, "leaves": 5}
+
+
+def test_empty_market():
+    inst = parse_instance("smfq 1\n[agents]\n[programs]\n")
+    for oracle in (oracle_minsum, oracle_minmax):
+        r = oracle(inst)
+        assert (r.objective, r.matching) == (0, Matching({})), r.method
+        assert r.stats == {"nodes": 0, "leaves": 1}
