@@ -45,7 +45,7 @@ from .minsum import distinct_costs_per_agent, solve_minsum_exact
 from .model import (HrInstance, Matching, SmfqInstance, SolveReport,
                     is_a_perfect, is_envy_free, is_hr_stable, max_cost,
                     total_cost, validate)
-from .oracle import enumerate_a_perfect_stable, oracle_minmax, oracle_minsum
+from .oracle import oracle_minmax, oracle_minsum
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "build_quota_instance",
     "compute_extendable",
     "distinct_costs_per_agent",
-    "enumerate_a_perfect_stable",
     "feasible_at",
     "format_matching",
     "gale_shapley_a_optimal",

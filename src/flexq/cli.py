@@ -3,7 +3,7 @@
 Subcommands::
 
     solve minmax <file>
-    solve minsum [--method exact|promote|restrict|minmax] <file>
+    solve minsum [--method exact|promote|restrict|minmax] [--budget N] [--force] <file>
     check <file> --matching <mfile>
     oracle minsum|minmax <file> [--budget N] [--force]
     extend <hr-file> --objective deviation|cost [--costs <file>] [--budget N] [--force]

@@ -50,8 +50,8 @@ def gale_shapley_a_optimal(instance: SmfqInstance, quota: dict[str, int] | None 
     ``quota`` maps programs to seats and defaults to ``instance.quota``
     (an :class:`HrInstance`).  A program missing from the map, or given no
     seats, takes nobody: proposals to it are skipped, exactly as if it were
-    cut from the market together with its edges.  This lets one cost
-    market serve every threshold of the max-spend search without a copy.
+    cut from the market together with its edges.  Only ``feasible_at``
+    passes a map; ``solve_minmax`` resumes ``deferred_acceptance_state``.
 
     Agents propose in instance order; the returned matching is the same for
     every declared order.  Agents whose lists run out stay unmatched.

@@ -161,6 +161,22 @@ def all_stable_assignments(instance: SmfqInstance) -> list[dict[str, str]]:
     return out
 
 
+def envy_free_prefix_counts(instance: SmfqInstance) -> list[int]:
+    """For k = 0 … |agents|, the number of ways to place the first k agents,
+    each on its own list, so that no placed agent envies another placed one."""
+    counts = []
+    for k in range(len(instance.agents) + 1):
+        placed = instance.agents[:k]
+        count = 0
+        for combo in itertools.product(*(instance.agent_pref[a] for a in placed)):
+            assignment = dict(zip(placed, combo))
+            if not any(prefers(instance, a, q, p) and program_prefers(instance, q, a, b)
+                       for a, p in assignment.items() for b, q in assignment.items()):
+                count += 1
+        counts.append(count)
+    return counts
+
+
 def all_hr_stable_assignments(instance: HrInstance) -> list[dict[str, str]]:
     """Every stable partial assignment under quotas."""
     lists = [instance.agent_pref[a] + [None] for a in instance.agents]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -364,6 +365,27 @@ def test_oracle_imports_only_instance_accessors_from_the_package():
     sources = [node.module for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert sources and set(sources) <= {"model", "budget", "errors"}, sources
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public name must be read by the package itself (its def/class line
+    # does not count), by the benchmark, or documented in the README.
+    # bench_hr_instance is the quota twin of the sweep's bench_instance and
+    # is what the acceptance sweeps import
+    exempt = {"bench_hr_instance"}
+    root = Path(flexq.__file__).resolve().parents[2]
+    read = set()
+    for path in (root / "src" / "flexq").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    text = (root / "README.md").read_text(encoding="utf-8") + "".join(
+        path.read_text(encoding="utf-8") for path in sorted((root / "perfbench").glob("*.py")))
+    read |= set(re.findall(r"\w+", text))
+    assert [name for name in flexq.__all__ if name not in read | exempt] == []
 
 
 def test_console_entry_point(capsys, fig1_h, monkeypatch):

@@ -10,7 +10,6 @@ from flexq import (
     Matching,
     bench_hr_instance,
     bench_instance,
-    enumerate_a_perfect_stable,
     gen_fig1,
     gen_random,
     max_cost,
@@ -34,21 +33,13 @@ def test_optimal_objectives_on_the_canonical_market():
     assert rm.objective_kind == "max_cost"
 
 
-def test_enumeration_agrees_with_the_unpruned_filter():
-    """The pruned search must find exactly the naive product-filter set."""
-    for seed in range(100):
-        inst = bench_instance(seed)
-        got = {frozenset(m.assignment.items()) for m in enumerate_a_perfect_stable(inst)}
-        want = {frozenset(m.items())
-                for m in helpers.all_stable_assignments(inst)}
-        assert got == want, seed
-
-
 def test_every_market_has_a_full_stable_matching():
     # matching everyone to their top choice can never create envy
     for seed in range(100):
         inst = bench_instance(seed)
-        assert next(iter(enumerate_a_perfect_stable(inst)), None) is not None
+        assignment = oracle_minsum(inst).matching.assignment
+        assert list(assignment) == list(inst.agents), seed
+        assert helpers.envy_free_naive(inst, assignment), seed
 
 
 def test_quota_stable_matchings_share_their_matched_set():
@@ -76,18 +67,14 @@ def test_budget_guards_the_enumeration():
     with pytest.raises(BudgetExceeded):
         oracle_minmax(h, budget=15)
     assert oracle_minmax(h, budget=16).objective == 4
-    # the enumerator refuses when called, before anything asks for a leaf
-    with pytest.raises(BudgetExceeded):
-        enumerate_a_perfect_stable(h, budget=15)
-    assert len(list(enumerate_a_perfect_stable(h, budget=16))) == 5
 
 
 def test_oracle_minimum_is_a_true_minimum():
     for seed in range(60):
         inst = bench_instance(seed)
         best = oracle_minsum(inst)
-        costs = [sum(inst.cost[p] for p in m.assignment.values())
-                 for m in enumerate_a_perfect_stable(inst)]
+        costs = [sum(inst.cost[p] for p in m.values())
+                 for m in helpers.all_stable_assignments(inst)]
         assert best.objective == min(costs), seed
 
 
@@ -128,6 +115,21 @@ def test_work_counters():
         assert rs.stats == rm.stats == oracle_minsum(inst).stats, seed
     _, h = gen_fig1()
     assert oracle_minsum(h).stats == oracle_minmax(h).stats == {"nodes": 21, "leaves": 5}
+
+
+def test_work_counters_equal_an_independent_count_of_envy_free_prefixes():
+    """Every envy-free placement of a prefix of the agents is one node, and
+    every envy-free placement of all of them one leaf: the walk must prune
+    nothing else and miss nothing."""
+    markets = [bench_instance(s) for s in range(300)]
+    markets += [gen_random(8, 4, 3, 2, s) for s in range(20)]
+    markets += [gen_fig1()[1], parse_instance("smfq 1\n[agents]\n[programs]\n")]
+    wants = []
+    for k, inst in enumerate(markets):
+        counts = helpers.envy_free_prefix_counts(inst)
+        wants.append({"nodes": sum(counts[1:]), "leaves": counts[-1]})
+        assert oracle_minsum(inst).stats == oracle_minmax(inst).stats == wants[-1], k
+    assert wants[-2:] == [{"nodes": 21, "leaves": 5}, {"nodes": 0, "leaves": 1}]
 
 
 def test_empty_market():
