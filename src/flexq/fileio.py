@@ -15,7 +15,10 @@ is scanned once for a character outside ids and whitespace; only a hit falls
 back to checking token by token, which names the first bad id and its line.
 Parsing validates the result, so a grammatically fine but structurally broken
 file raises the corresponding validation error.  ``serialize_instance`` emits the canonical form above and
-round-trips: parse(serialize(x)) == x.
+round-trips: parse(serialize(x)) == x.  As in a generated instance, each id
+is one object wherever it appears, and ``parse_matching`` returns those
+objects too: dict lookups in the rank tables then hit on identity instead of
+comparing strings.
 
 Matching files hold one line per agent, in instance order, ``<agent> ->
 <program>`` with ``-`` for unmatched, followed by optional ``# key=value``
@@ -87,6 +90,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         raise ParseError(f"expected header 'smfq 1' or 'hr 1', got {header!r}", lineno)
     kind = parts[0]
 
+    ids: dict[str, str] = {}  # the one object kept for each id
     agent_pref: dict[str, list[str]] = {}
     program_pref: dict[str, list[str]] = {}
     cost: dict[str, int] = {}
@@ -120,7 +124,8 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             a = _check_ident(tokens[0], lineno)
             if a in agent_pref:
                 raise ParseError(f"duplicate agent line for {a}", lineno)
-            agent_pref[a] = _ident_list(tail, lineno)
+            names = _ident_list(tail, lineno)
+            agent_pref[ids.setdefault(a, a)] = list(map(ids.setdefault, names, names))
         else:
             tokens = head.split()
             if not tokens:
@@ -142,7 +147,8 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
                 raise ParseError(f"program {p} is missing quota=<int>, required by 'hr 1'", lineno)
             if kind == "smfq" and "quota" in keys:
                 raise ParseError(f"program {p} carries a quota, not allowed in 'smfq 1'", lineno)
-            program_pref[p] = _ident_list(tail, lineno)
+            names = _ident_list(tail, lineno)
+            program_pref[ids.setdefault(p, p)] = list(map(ids.setdefault, names, names))
             cost[p] = keys["cost"]
             if kind == "hr":
                 quota[p] = keys["quota"]
@@ -207,12 +213,14 @@ def parse_matching(text: str, instance: SmfqInstance) -> Matching:
             raise ParseError(f"unexpected extra line for {agent}", lineno)
         if agent != expected[idx]:
             raise ParseError(f"expected agent {expected[idx]}, got {agent}", lineno)
+        agent = expected[idx]
         idx += 1
         if program == "-":
             continue
-        if not instance.is_acceptable(agent, program):
+        rank = instance.arank[agent].get(program)
+        if rank is None:
             raise ParseError(f"agent {agent} does not accept program {program}", lineno)
-        assignment[agent] = program
+        assignment[agent] = instance.agent_pref[agent][rank]
     if idx != len(expected):
         raise ParseError(f"missing line for agent {expected[idx]}")
     return Matching(assignment)

@@ -20,24 +20,26 @@ the outcome does not depend on the order of proposals.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
-from typing import NamedTuple
 
 from .model import HrInstance, Matching, SmfqInstance
 
 
-class DaState(NamedTuple):
+@dataclass
+class DaState:
     """Where a deferred-acceptance run stands.
 
     ``slots`` maps each program with seats to ``(roster heap, seats, rank
     table)``; the heap holds ``(-rank, agent)``, so the worst tentative agent
-    sits on top.  ``nxt`` maps each agent to the index of its next proposal.
-    The rosters are the one record of who holds whom; :meth:`matching` reads
-    the matching off them.
+    sits on top.  ``nxt`` maps each agent to the index of its next proposal,
+    and ``proposals`` is their sum.  The rosters are the one record of who
+    holds whom; :meth:`matching` reads the matching off them.
     """
 
     slots: dict[str, tuple[list[tuple[int, str]], int, dict[str, int]]]
     nxt: dict[str, int]
+    proposals: int = 0
 
     def matching(self, instance: SmfqInstance) -> Matching:
         held = {a: p for p, (heap, _, _) in self.slots.items() for _, a in heap}
@@ -95,7 +97,7 @@ def resume_with_fewer_seats(instance: SmfqInstance, state: DaState,
         while len(heap) > seats:
             free.append(heappop(heap)[1])
         slots[p] = (heap, seats, ranks)
-    out = DaState(slots, dict(state.nxt))
+    out = DaState(slots, dict(state.nxt), state.proposals)
     return out, _propose(instance.agent_pref, out, free)
 
 
@@ -108,14 +110,14 @@ def _propose(pref: dict[str, list[str]], state: DaState, free: deque[str]) -> st
     None once ``free`` is empty.  If an agent's list runs out first, the run
     stops and returns that agent, now unmatched and out of ``free``; a
     further call carries on with the rest.  Every list entry an agent passes
-    advances its ``nxt``, including entries skipped because the program has
-    no seats, so the sum of ``nxt`` counts the proposals made.
+    advances its ``nxt`` and ``state.proposals``, including entries skipped
+    because the program has no seats.
     """
-    slots, nxt = state
+    slots, nxt = state.slots, state.nxt
     while free:
         a = free.popleft()
         lst = pref[a]
-        i = nxt[a]
+        i = start = nxt[a]
         while i < len(lst):
             p = lst[i]
             i += 1
@@ -133,8 +135,10 @@ def _propose(pref: dict[str, list[str]], state: DaState, free: deque[str]) -> st
                 break
         else:
             nxt[a] = i
+            state.proposals += i - start
             return a
         nxt[a] = i
+        state.proposals += i - start
     return None
 
 

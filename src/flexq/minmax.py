@@ -56,13 +56,13 @@ def solve_minmax(instance: SmfqInstance) -> SolveReport:
     # the state at hi, the smallest threshold known feasible; at the top of
     # the range it is every agent at its top choice
     state = deferred_acceptance_state(instance, build_quota_instance(instance, hi))
-    proposals = sum(state.nxt.values())
+    proposals = state.proposals
     probes = 0
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
         probe, stuck = resume_with_fewer_seats(instance, state, build_quota_instance(instance, mid))
-        proposals += sum(probe.nxt.values()) - sum(state.nxt.values())
+        proposals += probe.proposals - state.proposals
         if stuck is None:
             hi, state = mid, probe
         else:

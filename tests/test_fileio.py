@@ -17,9 +17,12 @@ from flexq import (
     bench_hr_instance,
     bench_instance,
     format_matching,
+    gale_shapley_a_optimal,
     gen_example2,
     gen_fig1,
     gen_fig2,
+    gen_master_list,
+    gen_random,
     gen_random_hr,
     parse_cost_file,
     parse_graph,
@@ -27,6 +30,7 @@ from flexq import (
     parse_matching,
     parse_set_cover,
     serialize_instance,
+    solve_minmax,
 )
 from flexq import fileio
 
@@ -71,6 +75,29 @@ def test_generated_families_round_trip():
         text = serialize_instance(inst)
         assert parse_instance(text) == inst
         assert serialize_instance(parse_instance(text)) == text
+
+
+def _canonical(names):
+    """Map each name to the one object the instance declares for it."""
+    return {name: name for name in names}
+
+
+def test_parsed_markets_hold_one_object_per_id():
+    # like a generated market, a parsed one lists the declared id objects
+    # themselves, and a parsed matching reuses them
+    for inst, solve in [(gen_random(300, 12, 4, 9, 0), lambda i: solve_minmax(i).matching),
+                        (gen_master_list(300, 12, 4, 9, 1), lambda i: solve_minmax(i).matching),
+                        (gen_random_hr(300, 12, 4, 9, 20, 2), gale_shapley_a_optimal)]:
+        parsed = parse_instance(serialize_instance(inst))
+        agents, programs = _canonical(parsed.agents), _canonical(parsed.programs)
+        assert all(agents[a] is a for a in parsed.agent_pref)
+        assert all(programs[p] is p for p in parsed.program_pref)
+        assert all(programs[p] is p for lst in parsed.agent_pref.values() for p in lst)
+        assert all(agents[a] is a for lst in parsed.program_pref.values() for a in lst)
+
+        matching = parse_matching(format_matching(parsed, solve(parsed)), parsed)
+        assert matching.assignment
+        assert all(agents[a] is a and programs[p] is p for a, p in matching.assignment.items())
 
 
 def test_comments_and_blank_lines_are_ignored():
