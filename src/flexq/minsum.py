@@ -7,12 +7,13 @@ list, matching every agent to its best surviving program is stable.  The
 cheapest surviving tuple is the global optimum.
 
 A search node is one int per agent, a mask over positions on the agent's
-own list (bit j set while its j-th program is still available), and the
-search fixes one agent's level per step, depth first.  Pruning is monotone
-(fixing a level only removes edges), so a partial choice that isolates an
-agent isolates every completion, and its subtree is cut.  The number of
-tuples is the product of per-agent distinct cost counts, so a budget guard
-refuses oversized inputs unless forced; the search itself visits far fewer.
+own list (bit j set while its j-th program is still available); the search
+fixes one agent's level per step, depth first.  Fixing a level only removes
+edges, so an agent isolated by a partial choice cuts its whole subtree.  A
+child re-prunes only from the agents whose top choice moved and adds to its
+parent's bound only the change over the agents whose masks changed, so a
+node costs what changed rather than the whole market.  The tuple count, the
+product of per-agent level counts, is budget-guarded unless forced.
 """
 
 from __future__ import annotations
@@ -33,33 +34,31 @@ def distinct_costs_per_agent(instance: SmfqInstance) -> list[list[int]]:
     ]
 
 
-def _prune(masks: list[int], ahead: list[list[tuple[list[tuple[int, int]], int]]]) -> int | None:
-    """Envy pruning to a fixed point, clearing bits of ``masks`` in place.
+def _prune(masks: list[int], ahead: list[list[tuple[list[tuple[int, int]], int]]],
+           queue: list[int]) -> set[int] | None:
+    """Envy pruning to a fixed point from a worklist, clearing ``masks`` bits in place.
 
     ``ahead[i][j]`` holds, for the j-th program on agent i's list, that
     program's (agent index, bit) pairs in its rank order and the position
-    just below agent i in them.  Sweep the agents in instance order: where
-    agent i tops out at its j-th program, no agent ranked below i may sit at
-    any program i prefers to that one, so those bits go.  Deletions are
-    applied eagerly; the sweep repeats until stable.  Returns the index of
-    the first agent left with an empty mask, or None if all survive.
+    just below agent i in them.  ``queue`` holds the agents whose top choice
+    moved since the last fixed point.  Where queued agent i tops out at its
+    j-th program, agents ranked below i lose every program i prefers to it;
+    one that loses its top choice is queued in turn.  Returns the agents
+    whose masks changed, or None as soon as one is empty.
     """
-    changed = True
-    while changed:
-        changed = False
-        for i, m in enumerate(masks):
-            if m & 1:  # at its top choice: it prefers no program to this one
-                continue
-            if not m:
-                return i
-            for pairs, below in ahead[i][:(m & -m).bit_length() - 1]:
-                for x, bit in pairs[below:]:
-                    if masks[x] & bit:
-                        masks[x] ^= bit
-                        changed = True
-                        if not masks[x]:
-                            return x
-    return None
+    touched = set()
+    while queue:
+        m = masks[i := queue.pop()]
+        for pairs, below in ahead[i][:(m & -m).bit_length() - 1]:
+            for x, bit in pairs[below:]:
+                if masks[x] & bit:
+                    masks[x] ^= bit
+                    if not masks[x]:
+                        return None
+                    touched.add(x)
+                    if bit < masks[x] & -masks[x]:  # it was x's top choice
+                        queue.append(x)
+    return touched
 
 
 def solve_minsum_exact(
@@ -72,11 +71,12 @@ def solve_minsum_exact(
     A node holds one list-position mask per agent, all ones at the root.
     Only agents with two or more cost levels are branched on, in instance
     order, levels ascending; the others keep their whole list.  A child ANDs
-    the branching agent's mask with one level's mask and runs envy pruning
-    on the result; an isolated agent cuts it.  Its bound is the sum over all
-    agents of the cheapest level left in their mask, which is exact at a
-    leaf, where every agent takes its lowest set bit.  The limit starts one
-    above the spend of the cheaper of :func:`approx_promote` and
+    the branching agent's mask with one level's mask and re-prunes from that
+    agent if its top choice moved; an isolated agent cuts the child.  Its
+    bound, the sum over all agents of the cheapest level left in their mask,
+    is the parent's plus the change over the masks that changed, and it is
+    exact at a leaf, where every agent takes its lowest set bit.  The limit
+    starts one above the spend of the cheaper of :func:`approx_promote` and
     :func:`approx_restrict`; nodes whose bound reaches the limit are cut, and
     an accepted leaf lowers the limit to its spend.  Leaves are met in
     ascending lexicographic tuple order and must be strictly cheaper than
@@ -105,14 +105,17 @@ def solve_minsum_exact(
         levels.append(list(level_masks.items()))
     branch = [(i, lv) for i, lv in enumerate(levels) if len(lv) > 1]
 
-    def bound(masks: list[int]) -> int:
-        return sum(next(c for c, lm in lv if m & lm) for m, lv in zip(masks, levels))
+    def cheapest(x: int, m: int) -> int:
+        for c, lm in levels[x]:
+            if m & lm:
+                return c
 
     limit = min(approx_promote(instance).objective, approx_restrict(instance).objective) + 1
     best: dict[str, str] | None = None
     nodes = leaves = 0
     root = [(1 << len(pref[a])) - 1 for a in agents]
-    stack = [] if _prune(root, ahead) is not None else [(0, root, bound(root))]
+    stack = [] if _prune(root, ahead, list(range(len(agents)))) is None else \
+        [(0, root, sum(map(cheapest, range(len(agents)), root)))]
     while stack:
         depth, masks, lb = stack.pop()
         if lb >= limit:
@@ -126,11 +129,13 @@ def solve_minsum_exact(
             best, limit = assignment, lb
             continue
         i, lv = branch[depth]
-        for _, lm in reversed(lv):  # popped in ascending order
+        for lm in [lm for _, lm in lv if masks[i] & lm][::-1]:  # popped in ascending order
             child = masks[:]
             child[i] &= lm
-            if _prune(child, ahead) is None:
-                stack.append((depth + 1, child, bound(child)))
+            touched = _prune(child, ahead, [] if child[i] & masks[i] & -masks[i] else [i])
+            if touched is not None:
+                stack.append((depth + 1, child, lb + sum(
+                    cheapest(x, child[x]) - cheapest(x, masks[x]) for x in touched | {i})))
 
     if best is None:
         raise AssertionError("no cost tuple beats the approximations' spend")

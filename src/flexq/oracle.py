@@ -11,7 +11,9 @@ assignment depth-first and scores each full one as the walk reaches it.
 The walk prunes on envy already created by a partial assignment.  That is
 sound because an envy pair never goes away as more agents are placed: the
 envied roster only grows and the envious agent's assignment is already
-fixed.
+fixed.  Each test reads one running extreme per program: the worst rank
+placed there, or the best rank of a placed agent who prefers it.  Both are
+stacks pushed on placement, popped on backtrack; the spend moves with them.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ def _best(instance: SmfqInstance, fold: Callable[[Iterable[int]], int],
 
     Checks the budget on the full assignment product before any work, walks
     agents in instance order, each over its list in preference order, and
-    scores every full assignment inline from the rosters as ``fold`` of
-    ``cost[p] * len(members[p])``.  Only a strict improvement is copied, so
+    scores every full assignment inline as ``fold`` of a per-program spend
+    kept up to date on each move.  Only a strict improvement is copied, so
     the lexicographically first optimum wins.
     """
     agents = instance.agents
@@ -40,7 +42,7 @@ def _best(instance: SmfqInstance, fold: Callable[[Iterable[int]], int],
     # depth-first with an explicit stack, so deep markets cannot exhaust the
     # recursion limit.  choices[i]: agent i's (program, its rank of i, the
     # pairs above it); cands[i] iterates what is left, watched[i] the pairs
-    # i envies; members and enviers hold the ranks of the agents placed
+    # i envies; members and enviers stack running maxima and minima of ranks
     choices = []
     for a in agents:
         pairs = [(p, instance.prank[p][a]) for p in instance.agent_pref[a]]
@@ -48,6 +50,7 @@ def _best(instance: SmfqInstance, fold: Callable[[Iterable[int]], int],
     assignment: dict[str, str] = {}
     members: dict[str, list[int]] = {p: [] for p in instance.programs}
     enviers: dict[str, list[int]] = {p: [] for p in instance.programs}
+    spend = dict.fromkeys(instance.programs, 0)
     cands = [iter(c) for c in choices]
     watched: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     best, best_cost = None, 0
@@ -56,7 +59,7 @@ def _best(instance: SmfqInstance, fold: Callable[[Iterable[int]], int],
     while i >= 0:
         if i == n:
             leaves += 1
-            c = fold(instance.cost[p] * len(m) for p, m in members.items())
+            c = fold(spend.values())
             if best is None or c < best_cost:
                 best, best_cost = Matching(dict(assignment)), c
             i -= 1
@@ -65,23 +68,25 @@ def _best(instance: SmfqInstance, fold: Callable[[Iterable[int]], int],
         p = assignment.pop(a, None)
         if p is not None:  # back from the subtree below a's last placement
             members[p].pop()
+            spend[p] -= instance.cost[p]
             for q, _ in watched[i]:
                 enviers[q].pop()
         for p, rp, above in cands[i]:
             env = enviers[p]
             # someone already placed prefers p and outranks a there
-            if env and min(env) < rp:
+            if env and env[-1] < rp:
                 continue
             for q, rq in above:
                 mq = members[q]
-                if mq and max(mq) > rq:
+                if mq and mq[-1] > rq:
                     break  # a would envy a worse agent already at q
             else:
                 nodes += 1
                 assignment[a] = p
-                members[p].append(rp)
+                members[p].append(members[p][-1] if members[p] and members[p][-1] > rp else rp)
+                spend[p] += instance.cost[p]
                 for q, rq in above:
-                    enviers[q].append(rq)
+                    enviers[q].append(enviers[q][-1] if enviers[q] and enviers[q][-1] < rq else rq)
                 watched[i] = above
                 i += 1
                 if i < n:

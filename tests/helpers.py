@@ -229,6 +229,33 @@ def brute_min_vertex_cover(vertices: list[str], edges: list[tuple[str, str]]) ->
     raise AssertionError("unreachable: all vertices always cover")
 
 
+def branching_min_vertex_cover(edges: list[tuple[str, str]]) -> int:
+    """Smallest number of vertices touching every edge, by branching on a
+    vertex v of largest degree d: either v is in the cover, or all of its
+    neighbours are.  A branch is cut once its size plus ceil(m / d), a lower
+    bound for covering the m edges left, cannot beat the best cover found."""
+    best = len({v for e in edges for v in e})
+
+    def branch(left: list[tuple[str, str]], size: int) -> None:
+        nonlocal best
+        if not left:
+            best = min(best, size)
+            return
+        degree: dict[str, int] = {}
+        for e in left:
+            for v in e:
+                degree[v] = degree.get(v, 0) + 1
+        v = max(degree, key=degree.__getitem__)
+        if size + -(-len(left) // degree[v]) >= best:
+            return
+        branch([e for e in left if v not in e], size + 1)
+        nbrs = {u for e in left if v in e for u in e if u != v}
+        branch([e for e in left if not nbrs.intersection(e)], size + len(nbrs))
+
+    branch(list(edges), 0)
+    return best
+
+
 def tuple_graph(instance: SmfqInstance, choice: tuple[int, ...]) -> dict[str, set[str]]:
     """Each agent's programs at exactly the cost level chosen for it."""
     return {a: {p for p in instance.agent_pref[a] if instance.cost[p] == c}

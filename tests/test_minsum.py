@@ -150,11 +150,12 @@ def test_agrees_with_enumeration_on_lists_longer_than_a_machine_word():
         assert (report.objective, report.matching) == helpers.minsum_by_enumeration(inst), seed
 
 
-# search nodes expanded per rung; each rung checks two leaves
-LADDER_NODES = {(16, 0): 376, (16, 1): 1_704, (16, 2): 1_760, (20, 0): 7_753}
+# (search nodes expanded, leaves checked) per rung
+LADDER_WORK = {(16, 0): (376, 2), (16, 1): (1_704, 2), (16, 2): (1_760, 2), (20, 0): (7_753, 2),
+               (28, 0): (236_416, 1)}
 
 
-@pytest.mark.parametrize("n, seed", [(16, 0), (16, 1), (16, 2), (20, 0)])
+@pytest.mark.parametrize("n, seed", list(LADDER_WORK))
 def test_solves_the_first_vertex_cover_ladder_rungs(n, seed):
     # the set-cover reduction of a graph on v0..v{n-1} with the first 1.5n shuffled pairs as edges
     vertices = [f"v{i}" for i in range(n)]
@@ -166,9 +167,26 @@ def test_solves_the_first_vertex_cover_ladder_rungs(n, seed):
         sets[u].append(f"e{k}")
         sets[v].append(f"e{k}")
     inst = reduce_set_cover(SetCoverInstance(sets=sets, elements=[f"e{k}" for k in range(len(edges))], f=2))
-    report = solve_minsum_exact(inst)
-    assert report.objective == len(edges) + helpers.brute_min_vertex_cover(vertices, edges)
-    assert (report.stats["nodes"], report.stats["leaves"]) == (LADDER_NODES[n, seed], 2)
+    tau = helpers.branching_min_vertex_cover(edges)
+    if n <= 20:  # the subset enumeration takes minutes at 28 vertices
+        assert tau == helpers.brute_min_vertex_cover(vertices, edges)
+    report = solve_minsum_exact(inst, force=True)
+    assert report.objective == len(edges) + tau
+    assert (report.stats["nodes"], report.stats["leaves"]) == LADDER_WORK[n, seed]
+    assert is_a_perfect(inst, report.matching)
+    assert is_envy_free(inst, report.matching).ok
+
+
+@pytest.mark.parametrize("gen, seed, objective, nodes, leaves", [
+    (gen_random, 0, 97, 10_997, 3),
+    (gen_master_list, 1, 86, 14_570, 2),
+])
+def test_solves_48_agent_random_rungs(gen, seed, objective, nodes, leaves):
+    inst = gen(48, 24, 4, 9, seed)
+    report = solve_minsum_exact(inst, force=True)
+    assert report.objective == objective
+    assert (report.stats["nodes"], report.stats["leaves"]) == (nodes, leaves)
+    assert report.objective == total_cost(inst, report.matching)
     assert is_a_perfect(inst, report.matching)
     assert is_envy_free(inst, report.matching).ok
 
