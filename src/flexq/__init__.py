@@ -15,7 +15,8 @@ The package provides:
   quotas and then optimally matches the leftover agents without creating envy
   (``compute_extendable``, ``largest_extension``, ``min_deviation_extension``,
   ``min_cost_extension``),
-- a brute-force oracle for cross-checking (``oracle_minsum``, ``oracle_minmax``),
+- a brute-force oracle for cross-checking (``oracle_optima``, one walk for
+  both objectives; ``oracle_minsum``, ``oracle_minmax``),
 - instance generators, including embeddings of covering problems that make
   the solvers answer Set-Cover and Vertex-Cover questions,
 - text file formats and a command-line workbench (``flexq``).
@@ -45,7 +46,7 @@ from .minsum import distinct_costs_per_agent, solve_minsum_exact
 from .model import (HrInstance, Matching, SmfqInstance, SolveReport,
                     is_a_perfect, is_envy_free, is_hr_stable, max_cost,
                     total_cost, validate)
-from .oracle import oracle_minmax, oracle_minsum
+from .oracle import oracle_minmax, oracle_minsum, oracle_optima
 
 __version__ = "0.1.0"
 
@@ -100,6 +101,7 @@ __all__ = [
     "min_deviation_extension",
     "oracle_minmax",
     "oracle_minsum",
+    "oracle_optima",
     "parse_cost_file",
     "parse_graph",
     "parse_instance",

@@ -41,7 +41,7 @@ from .minmax import solve_minmax
 from .minsum import solve_minsum_exact
 from .model import (HrInstance, SolveReport, is_a_perfect, is_envy_free,
                     max_cost, total_cost)
-from .oracle import oracle_minmax, oracle_minsum
+from .oracle import oracle_minmax, oracle_minsum, oracle_optima
 
 
 def _read(path: str) -> str:
@@ -156,9 +156,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         choice = min_cost_choice(inst)
         lb = lower_bound_sum(inst)
         exact = solve_minsum_exact(inst)
-        osum = oracle_minsum(inst)
+        osum, omax = oracle_optima(inst)
         mm = solve_minmax(inst)
-        omax = oracle_minmax(inst)
         pro = approx_promote(inst)
         res = approx_restrict(inst)
         via = approx_via_minmax(inst)

@@ -91,6 +91,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
     kind = parts[0]
 
     ids: dict[str, str] = {}  # the one object kept for each id
+    canon = ids.setdefault
     agent_pref: dict[str, list[str]] = {}
     program_pref: dict[str, list[str]] = {}
     cost: dict[str, int] = {}
@@ -125,7 +126,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             if a in agent_pref:
                 raise ParseError(f"duplicate agent line for {a}", lineno)
             names = _ident_list(tail, lineno)
-            agent_pref[ids.setdefault(a, a)] = list(map(ids.setdefault, names, names))
+            agent_pref[canon(a, a)] = [*map(canon, names, names)]
         else:
             tokens = head.split()
             if not tokens:
@@ -148,7 +149,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             if kind == "smfq" and "quota" in keys:
                 raise ParseError(f"program {p} carries a quota, not allowed in 'smfq 1'", lineno)
             names = _ident_list(tail, lineno)
-            program_pref[ids.setdefault(p, p)] = list(map(ids.setdefault, names, names))
+            program_pref[canon(p, p)] = [*map(canon, names, names)]
             cost[p] = keys["cost"]
             if kind == "hr":
                 quota[p] = keys["quota"]

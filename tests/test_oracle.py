@@ -15,6 +15,7 @@ from flexq import (
     max_cost,
     oracle_minmax,
     oracle_minsum,
+    oracle_optima,
     parse_instance,
     total_cost,
 )
@@ -67,6 +68,9 @@ def test_budget_guards_the_enumeration():
     with pytest.raises(BudgetExceeded):
         oracle_minmax(h, budget=15)
     assert oracle_minmax(h, budget=16).objective == 4
+    with pytest.raises(BudgetExceeded):
+        oracle_optima(h, budget=15)
+    assert [r.objective for r in oracle_optima(h, budget=16)] == [7, 4]
 
 
 def test_oracle_minimum_is_a_true_minimum():
@@ -85,20 +89,30 @@ def _spends(instance, assignment):
     return per
 
 
+# one agent is both the first and the last: its leaves are scored in place
+ONE_AGENT = [parse_instance("smfq 1\n[agents]\na1: p1 p2 p3\n[programs]\n"
+                            "p1 cost=3: a1\np2 cost=1: a1\np3 cost=1: a1\n"),
+             parse_instance("smfq 1\n[agents]\na1: p1\n[programs]\np1 cost=2: a1\n")]
+
+
 def test_oracles_return_the_first_optimum_in_product_order():
     """Checked against the naive product filter, whose order is the same
-    lexicographic order, on markets where many assignments tie."""
+    lexicographic order, on markets where many assignments tie.  Both
+    reports of the one walk are checked, and each single-objective oracle
+    must return the same report."""
     markets = [bench_instance(s) for s in range(300)]
-    markets += [gen_random(8, 4, 3, 2, s) for s in range(20)]
+    markets += [gen_random(8, 4, 3, 2, s) for s in range(20)] + ONE_AGENT
     for k, inst in enumerate(markets):
         stable = helpers.all_stable_assignments(inst)
-        for oracle, score, brute, recheck in (
-            (oracle_minsum, lambda m: sum(_spends(inst, m).values()),
-             helpers.brute_min_total, total_cost),
-            (oracle_minmax, lambda m: max(_spends(inst, m).values(), default=0),
-             helpers.brute_min_max, max_cost),
+        for r, oracle, score, brute, recheck in zip(
+            oracle_optima(inst), (oracle_minsum, oracle_minmax),
+            (lambda m: sum(_spends(inst, m).values()),
+             lambda m: max(_spends(inst, m).values(), default=0)),
+            (helpers.brute_min_total, helpers.brute_min_max), (total_cost, max_cost),
         ):
-            r = oracle(inst)
+            single = oracle(inst)
+            assert list(single.matching.assignment.items()) == list(r.matching.assignment.items()), k
+            assert (single, single.stats) == (r, r.stats), (k, r.method)
             assert r.objective == brute(inst), (k, r.method)
             first = next(m for m in stable if score(m) == r.objective)
             assert list(r.matching.assignment.items()) == list(first.items()), (k, r.method)
@@ -123,6 +137,7 @@ def test_work_counters_equal_an_independent_count_of_envy_free_prefixes():
     nothing else and miss nothing."""
     markets = [bench_instance(s) for s in range(300)]
     markets += [gen_random(8, 4, 3, 2, s) for s in range(20)]
+    markets += ONE_AGENT
     markets += [gen_fig1()[1], parse_instance("smfq 1\n[agents]\n[programs]\n")]
     wants = []
     for k, inst in enumerate(markets):
@@ -138,3 +153,25 @@ def test_empty_market():
         r = oracle(inst)
         assert (r.objective, r.matching) == (0, Matching({})), r.method
         assert r.stats == {"nodes": 0, "leaves": 1}
+
+
+def test_one_agent_markets():
+    many, one = (oracle_optima(inst) for inst in ONE_AGENT)
+    # the first of the two cheapest seats wins both objectives
+    assert [(r.objective, r.matching) for r in many] == [(1, Matching({"a1": "p2"}))] * 2
+    assert [r.stats for r in many] == [{"nodes": 3, "leaves": 3}] * 2
+    assert [(r.objective, r.stats) for r in one] == [(2, {"nodes": 1, "leaves": 1})] * 2
+
+
+# (seed, minsum, minmax, nodes, leaves) on gen_random(12, 6, 3, 9, seed), where
+# the independent prefix count is too slow; recorded from the two-walk oracle
+RANDOM_12_WORK = [(1, 53, 12, 3836, 1485), (2, 36, 16, 2354, 719), (3, 15, 6, 2416, 708)]
+
+
+@pytest.mark.parametrize("seed, minsum, minmax, nodes, leaves", RANDOM_12_WORK)
+def test_pinned_objectives_and_work_on_12_agent_markets(seed, minsum, minmax, nodes, leaves):
+    inst = gen_random(12, 6, 3, 9, seed)
+    rs, rm = oracle_optima(inst)
+    assert (rs.objective, rm.objective) == (minsum, minmax)
+    assert rs.stats == rm.stats == {"nodes": nodes, "leaves": leaves}
+    assert total_cost(inst, rs.matching) == minsum and max_cost(inst, rm.matching) == minmax
