@@ -78,7 +78,7 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
     if not set(match.values()) <= set(choice.p_star.values()):
         raise AssertionError("promotion occupied a program no agent chose as its cheapest")
     m = Matching(match)
-    return SolveReport(m, total_cost(instance, m), "total_cost", "promote", certified_optimal=False)
+    return SolveReport(m, total_cost(instance, m), "promote", certified_optimal=False)
 
 
 def approx_restrict(instance: SmfqInstance) -> SolveReport:
@@ -93,7 +93,7 @@ def approx_restrict(instance: SmfqInstance) -> SolveReport:
     for a in instance.agents:
         match[a] = next(p for p in instance.agent_pref[a] if p in allowed)
     m = Matching(match)
-    return SolveReport(m, total_cost(instance, m), "total_cost", "restrict", certified_optimal=False)
+    return SolveReport(m, total_cost(instance, m), "restrict", certified_optimal=False)
 
 
 def approx_via_minmax(instance: SmfqInstance) -> SolveReport:
@@ -102,11 +102,5 @@ def approx_via_minmax(instance: SmfqInstance) -> SolveReport:
     ``stats`` are the max-spend solver's counters.
     """
     rep = solve_minmax(instance)
-    return SolveReport(
-        rep.matching,
-        total_cost(instance, rep.matching),
-        "total_cost",
-        "via-minmax",
-        certified_optimal=False,
-        stats=rep.stats,
-    )
+    return SolveReport(rep.matching, total_cost(instance, rep.matching), "via-minmax",
+                       certified_optimal=False, stats=rep.stats)

@@ -104,13 +104,11 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     ctx = compute_extendable(instance, round1)
     if args.objective == "deviation":
         ext = min_deviation_extension(ctx)
-        report = SolveReport(ext.m2, ext.d_star, "max_deviation", "extend-deviation",
-                             certified_optimal=True)
+        report = SolveReport(ext.m2, ext.d_star, "extend-deviation", certified_optimal=True)
     else:
         costs = parse_cost_file(_read(args.costs)) if args.costs else dict(instance.cost)
         ext = min_cost_extension(ctx, costs, budget=args.budget, force=args.force)
-        report = SolveReport(ext.m2, ext.round2_cost, "total_cost", "extend-cost",
-                             certified_optimal=True)
+        report = SolveReport(ext.m2, ext.round2_cost, "extend-cost", certified_optimal=True)
     return _emit_report(instance, report)
 
 
@@ -202,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=None,
-                       help="search-space cap (default from FLEXQ_BUDGET or 10^7)")
+                       help="search-space cap (default 10^7)")
         p.add_argument("--force", action="store_true",
                        help="run even when the search space exceeds the budget")
 

@@ -45,8 +45,13 @@ _MATCH_LINE = re.compile(r"^([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+|-)$")
 
 
 def _meaningful_lines(text: str):
-    """Yield (line_number, content) with comments and blanks stripped."""
-    for i, raw in enumerate(text.splitlines(), start=1):
+    r"""Yield (line_number, content) with comments and blanks stripped.
+
+    A line ends only at ``\n``, ``\r\n`` or ``\r``, as in a file read in text
+    mode; str.splitlines() would also end one at form feeds and the like."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for i, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield i, line

@@ -74,5 +74,5 @@ def solve_minmax(instance: SmfqInstance) -> SolveReport:
         raise AssertionError(f"the matching at the optimal threshold {t_star} leaves an agent out")
     if max_cost(instance, matching) != t_star:
         raise AssertionError(f"the matching at the optimal threshold {t_star} spends a different maximum")
-    return SolveReport(matching, t_star, "max_cost", "minmax", certified_optimal=True,
+    return SolveReport(matching, t_star, "minmax", certified_optimal=True,
                        stats={"probes": probes, "proposals": proposals})

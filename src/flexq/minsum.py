@@ -139,5 +139,5 @@ def solve_minsum_exact(
 
     if best is None:
         raise AssertionError("no cost tuple beats the approximations' spend")
-    return SolveReport(Matching(best), limit, "total_cost", "minsum-exact", certified_optimal=True,
+    return SolveReport(Matching(best), limit, "minsum-exact", certified_optimal=True,
                        stats={"tuples": tuples, "nodes": nodes, "leaves": leaves})

@@ -89,12 +89,14 @@ class Matching:
     assignment: dict[str, str] = field(default_factory=dict)
 
 
-OBJECTIVE_KINDS = ("total_cost", "max_cost", "max_deviation")
-
-
 @dataclass
 class SolveReport:
-    """A solver result: the matching plus the objective it was scored on.
+    """A solver result: the matching, its objective value and the method.
+
+    ``method`` also names the objective: total spend (``minsum-exact``,
+    ``promote``, ``restrict``, ``via-minmax``, ``oracle-minsum``), largest
+    spend (``minmax``, ``oracle-minmax``), largest deviation
+    (``extend-deviation``) or round-two cost (``extend-cost``).
 
     ``stats`` holds deterministic work counters where a solver reports them
     (``solve_minsum_exact``: ``tuples``, ``nodes``, ``leaves``;
@@ -104,14 +106,9 @@ class SolveReport:
 
     matching: Matching
     objective: int
-    objective_kind: str
     method: str
     certified_optimal: bool
     stats: dict[str, int] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        if self.objective_kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown objective kind {self.objective_kind!r}")
 
 
 class StabilityCheck(NamedTuple):

@@ -94,10 +94,10 @@ def oracle_optima(instance: SmfqInstance, budget: int | None = None,
     if sum_at is None:
         raise AssertionError("a validated instance always admits the top-choice matching")
     stats = {"nodes": nodes + leaves if n else 0, "leaves": leaves}
-    return tuple(SolveReport(Matching(dict(zip(agents, [ch[0] for ch in at]))), best, kind, method,
+    return tuple(SolveReport(Matching(dict(zip(agents, [ch[0] for ch in at]))), best, method,
                              certified_optimal=True, stats=dict(stats))
-                 for at, best, kind, method in ((sum_at, sum_best, "total_cost", "oracle-minsum"),
-                                                (max_at, max_best, "max_cost", "oracle-minmax")))
+                 for at, best, method in ((sum_at, sum_best, "oracle-minsum"),
+                                          (max_at, max_best, "oracle-minmax")))
 
 
 def oracle_minsum(instance: SmfqInstance, budget: int | None = None, force: bool = False) -> SolveReport:

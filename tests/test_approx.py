@@ -72,7 +72,7 @@ def test_via_minmax_on_the_canonical_market():
     _, h = gen_fig1()
     report = approx_via_minmax(h)
     assert report.objective == 7  # happens to be optimal here
-    assert report.objective_kind == "total_cost"
+    assert report.method == "via-minmax"
     assert not report.certified_optimal
     assert report.stats == solve_minmax(h).stats != {}
 

@@ -219,13 +219,10 @@ def test_gen_reductions_from_input_files(capsys, tmp_path):
     assert "p_u cost=3" in out
 
 
-def test_negative_counts_exit_2(capsys, fig1_h, monkeypatch):
+def test_negative_counts_exit_2(capsys, fig1_h):
     code, _, err = run(capsys, "oracle", "minsum", "--budget", "-1", fig1_h)
     assert code == 2 and "non-negative" in err
     code, _, err = run(capsys, "bench", "--suite", "small", "--seeds", "-5")
-    assert code == 2 and "non-negative" in err
-    monkeypatch.setenv("FLEXQ_BUDGET", "-1")
-    code, _, err = run(capsys, "oracle", "minsum", fig1_h)
     assert code == 2 and "non-negative" in err
 
 
@@ -365,6 +362,23 @@ def test_oracle_imports_only_instance_accessors_from_the_package():
     sources = [node.module for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert sources and set(sources) <= {"model", "budget", "errors"}, sources
+
+
+def test_package_reads_no_environment_variable():
+    # every setting comes in through an argument or a CLI flag
+    pkg = Path(flexq.__file__).resolve().parent
+    banned = {"environ", "environb", "getenv"}
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
+    assert found == []
 
 
 def test_every_public_name_is_used_outside_the_tests():

@@ -140,6 +140,25 @@ def test_line_level_errors_carry_their_line_number():
     assert "line 3" in str(err)
 
 
+def test_a_form_feed_inside_a_comment_does_not_end_the_line():
+    text = CANONICAL_H.replace("a1: p1 p2\n", "a1: p1 p2   # was p2\fp2\n")
+    assert parse_instance(text) == parse_instance(CANONICAL_H)
+
+
+def test_a_vertical_tab_separates_ids_on_the_same_line():
+    text = "smfq 1\n[agents]\na1:\vp1 p-1\n[programs]\np1 cost=0: a1\n"
+    err = pytest.raises(ParseError, parse_instance, text).value
+    assert str(err) == "line 3: bad identifier 'p-1'"
+
+
+def test_crlf_and_lone_cr_files_parse_like_lf_files():
+    expected = parse_instance(CANONICAL_H)
+    assert parse_instance(CANONICAL_H.replace("\n", "\r\n")) == expected
+    assert parse_instance(CANONICAL_H.replace("\n", "\r")) == expected
+    err = pytest.raises(ParseError, parse_instance, "smfq 1\r\n[agents]\ra1 p1\r\n").value
+    assert err.line == 3
+
+
 @pytest.mark.parametrize("line", [
     "a-1: p1",               # bad identifier
     "a1 extra: p1",          # stray token on an agent line
@@ -173,7 +192,7 @@ def test_the_head_id_is_checked_before_its_list():
 
 
 # list separators include Unicode whitespace that str.split() splits on;
-# \x0b also ends a line, so the rest of that list moves to a line of its own
+# \x0b stays inside its line, where it only separates ids
 _GOOD_IDS = ["p1", "p2", "p3"]
 _BAD_IDS = ["p-1", "$", "é", "p٣", "-", "a$é"]
 _SEPARATORS = [" ", "\t", "\u3000", "\x0b", " \t "]
@@ -206,7 +225,7 @@ def _id_list_files(draw):
 def test_id_lists_are_accepted_exactly_when_every_token_is_an_identifier(text):
     # the first bad token or list-less line, in the order the lines are read
     expected = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         head, sep, tail = line.partition(":")
         if not sep and line.strip() and not line.startswith(("smfq", "[")):
             expected = (lineno, "expected '<id> ...: <list>'")

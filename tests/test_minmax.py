@@ -27,7 +27,6 @@ def test_canonical_market_threshold_and_matching():
     _, h = gen_fig1()
     report = solve_minmax(h)
     assert report.objective == 4
-    assert report.objective_kind == "max_cost"
     assert report.method == "minmax"
     assert report.certified_optimal
     assert report.matching.assignment == {

@@ -63,7 +63,6 @@ def test_exact_solution_on_the_canonical_market():
     _, h = gen_fig1()
     report = solve_minsum_exact(h)
     assert report.objective == 7
-    assert report.objective_kind == "total_cost"
     assert report.method == "minsum-exact"
     assert report.certified_optimal
     assert report.matching.assignment == {
@@ -271,12 +270,11 @@ def test_budget_counts_cost_tuples_not_list_lengths():
     assert solve_minsum_exact(inst, budget=1).objective == 30
 
 
-def test_budget_env_var_and_override(monkeypatch):
+def test_budget_argument_overrides_the_default():
     inst = two_level_market()
-    monkeypatch.setenv("FLEXQ_BUDGET", "2")
     with pytest.raises(BudgetExceeded):
-        solve_minsum_exact(inst)
-    assert solve_minsum_exact(inst, budget=100).objective == 2  # arg wins
-    monkeypatch.setenv("FLEXQ_BUDGET", "not-a-number")
-    with pytest.raises(ValueError):
-        solve_minsum_exact(inst)
+        solve_minsum_exact(inst, budget=2)
+    assert solve_minsum_exact(inst, budget=100).objective == 2
+    assert solve_minsum_exact(inst).objective == 2  # budget=None: DEFAULT_BUDGET
+    with pytest.raises(ValueError, match="non-negative"):
+        solve_minsum_exact(inst, budget=-1)

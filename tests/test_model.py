@@ -18,7 +18,6 @@ from flexq import (
     NonMutualEdge,
     QuotaViolated,
     SmfqInstance,
-    SolveReport,
     ZeroQuota,
     bench_instance,
     gen_fig1,
@@ -166,11 +165,6 @@ def test_objectives_on_the_canonical_market():
     assert not is_a_perfect(h, partial)
     assert total_cost(h, partial) == 1
     assert max_cost(h, Matching({})) == 0
-
-
-def test_solve_report_rejects_unknown_objective_kind():
-    with pytest.raises(ValueError):
-        SolveReport(Matching({}), 0, "fanciness", "m", certified_optimal=True)
 
 
 def test_top_choice_matching_is_a_perfect_and_envy_free():

@@ -30,8 +30,6 @@ def test_optimal_objectives_on_the_canonical_market():
     assert rs.method == "oracle-minsum"
     assert rm.method == "oracle-minmax"
     assert rs.certified_optimal and rm.certified_optimal
-    assert rs.objective_kind == "total_cost"
-    assert rm.objective_kind == "max_cost"
 
 
 def test_every_market_has_a_full_stable_matching():
