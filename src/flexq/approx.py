@@ -39,9 +39,14 @@ def min_cost_program(instance: SmfqInstance, agent: str) -> str:
     return best
 
 
+def _p_star(instance: SmfqInstance) -> dict[str, str]:
+    return {a: min_cost_program(instance, a) for a in instance.agents}
+
+
 def min_cost_choice(instance: SmfqInstance) -> MinCostChoice:
+    """Each agent's cheapest program and the longest program list (``ell_p``)."""
     return MinCostChoice(
-        p_star={a: min_cost_program(instance, a) for a in instance.agents},
+        p_star=_p_star(instance),
         ell_p=max((len(instance.program_pref[p]) for p in instance.programs), default=0),
     )
 
@@ -62,8 +67,8 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
     to programs they like strictly better, and a program never gains its
     first agent this way, so only cheapest-choice programs are ever occupied.
     """
-    choice = min_cost_choice(instance)
-    match = dict(choice.p_star)
+    p_star = _p_star(instance)
+    match = dict(p_star)
     arank = instance.arank
 
     for p in instance.programs:
@@ -75,7 +80,7 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
             elif houses_worse and arank[a][p] < arank[a][cur]:
                 match[a] = p
 
-    if not set(match.values()) <= set(choice.p_star.values()):
+    if not set(match.values()) <= set(p_star.values()):
         raise AssertionError("promotion occupied a program no agent chose as its cheapest")
     m = Matching(match)
     return SolveReport(m, total_cost(instance, m), "promote", certified_optimal=False)
@@ -87,11 +92,13 @@ def approx_restrict(instance: SmfqInstance) -> SolveReport:
     Restricting the market to the cheapest-choice programs makes top choices
     envy-free, at the price of possibly crowding an expensive program.
     """
-    choice = min_cost_choice(instance)
-    allowed = set(choice.p_star.values())
+    allowed = set(_p_star(instance).values())
     match = {}
     for a in instance.agents:
-        match[a] = next(p for p in instance.agent_pref[a] if p in allowed)
+        for p in instance.agent_pref[a]:
+            if p in allowed:
+                match[a] = p
+                break
     m = Matching(match)
     return SolveReport(m, total_cost(instance, m), "restrict", certified_optimal=False)
 
@@ -101,6 +108,10 @@ def approx_via_minmax(instance: SmfqInstance) -> SolveReport:
 
     ``stats`` are the max-spend solver's counters.
     """
-    rep = solve_minmax(instance)
+    return _via_minmax_report(instance, solve_minmax(instance))
+
+
+def _via_minmax_report(instance: SmfqInstance, rep: SolveReport) -> SolveReport:
+    """Score a ``solve_minmax`` report of ``instance`` by its total spend."""
     return SolveReport(rep.matching, total_cost(instance, rep.matching), "via-minmax",
                        certified_optimal=False, stats=rep.stats)

@@ -26,8 +26,8 @@ import argparse
 import functools
 import sys
 
-from .approx import (approx_promote, approx_restrict, approx_via_minmax,
-                     lower_bound_sum, min_cost_choice)
+from .approx import (_via_minmax_report, approx_promote, approx_restrict,
+                     approx_via_minmax, lower_bound_sum, min_cost_choice)
 from .errors import BudgetExceeded, ParseError, ValidationError
 from .extension import compute_extendable, min_cost_extension, min_deviation_extension
 from .fileio import (format_matching, parse_cost_file, parse_graph,
@@ -158,7 +158,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         mm = solve_minmax(inst)
         pro = approx_promote(inst)
         res = approx_restrict(inst)
-        via = approx_via_minmax(inst)
+        via = _via_minmax_report(inst, mm)
 
         bad: list[str] = []
         if exact.objective != osum.objective:

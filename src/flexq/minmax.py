@@ -3,7 +3,8 @@
 For a threshold t, give each program the seats it can afford under t
 (``t // cost``, unlimited for cost-0 programs) and ask whether deferred
 acceptance matches everyone.  Feasibility is monotone in t, so the optimum is
-found by binary search over [0, |agents| * max_cost].
+found by binary search over [0, t_top], t_top being the largest spend with
+every agent at its top choice (see :func:`solve_minmax`).
 
 The search keeps the deferred-acceptance state of the smallest threshold
 known feasible and starts every probe below it from a copy of that state:
@@ -32,8 +33,7 @@ def build_quota_instance(instance: SmfqInstance, t: int) -> dict[str, int]:
     if t < 0:
         raise ValueError("threshold must be non-negative")
     n = len(instance.agents)
-    quota = {p: (n if c == 0 else t // c) for p, c in instance.cost.items()}
-    return {p: q for p, q in quota.items() if q >= 1}
+    return {p: q for p, c in instance.cost.items() if (q := t // c if c else n)}
 
 
 def feasible_at(instance: SmfqInstance, t: int) -> bool:
@@ -45,17 +45,19 @@ def feasible_at(instance: SmfqInstance, t: int) -> bool:
 def solve_minmax(instance: SmfqInstance) -> SolveReport:
     """Find the smallest feasible threshold and a full stable matching for it.
 
-    The top of the search range is always feasible (every quota is at least
-    |agents| there), so the binary search needs no probe of the endpoints.
+    The run with |agents| seats everywhere puts every agent at its top
+    choice, and that matching is also the outcome at its own largest spend
+    t_top; so the search range is [0, t_top], with no probe of the endpoints.
     The returned matching is the agent-optimal one for the optimal threshold.
     ``stats`` holds ``probes`` (binary-search steps) and ``proposals`` (list
-    entries passed over all deferred-acceptance steps, counting the run at
-    the top of the range).
+    entries passed over all deferred-acceptance steps, counting the first
+    run with |agents| seats everywhere).
     """
-    lo, hi = 0, len(instance.agents) * max(instance.cost.values(), default=0)
-    # the state at hi, the smallest threshold known feasible; at the top of
-    # the range it is every agent at its top choice
-    state = deferred_acceptance_state(instance, build_quota_instance(instance, hi))
+    # every agent at its top choice; its matching is the outcome at t_top,
+    # the smallest threshold known feasible
+    state = deferred_acceptance_state(instance, build_quota_instance(
+        instance, len(instance.agents) * max(instance.cost.values(), default=0)))
+    lo, hi = 0, max((len(h) * instance.cost[p] for p, (h, _, _) in state.slots.items()), default=0)
     proposals = state.proposals
     probes = 0
     while lo < hi:

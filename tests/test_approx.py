@@ -26,6 +26,7 @@ from flexq import (
     solve_minmax,
     total_cost,
 )
+from flexq.approx import _via_minmax_report
 
 
 def test_cheapest_program_breaks_cost_ties_by_preference():
@@ -110,6 +111,14 @@ def test_heuristic_outputs_are_stable_and_bounded():
         assert approx_promote(inst).objective <= choice.ell_p * lb
         assert approx_restrict(inst).objective <= choice.ell_p * lb
         assert approx_via_minmax(inst).objective <= len(inst.programs) * opt
+
+
+def test_bench_scores_its_max_spend_report_as_the_via_minmax_approximation():
+    # the sweep scores the via-minmax row from its own solve_minmax report
+    for seed in range(600):
+        inst = bench_instance(seed)
+        got, want = _via_minmax_report(inst, solve_minmax(inst)), approx_via_minmax(inst)
+        assert got == want and got.stats == want.stats, seed
 
 
 def test_promotion_only_ever_fills_cheapest_seats():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib.util
 import os
 import re
@@ -244,6 +245,14 @@ def test_bench_reports_zero_violations(capsys):
     assert len(lines) == 8  # header + 6 rows + trailer
     _, again, _ = run(capsys, "bench", "--suite", "small", "--seeds", "6")
     assert out == again
+
+
+def test_bench_sweep_output_is_pinned(capsys):
+    # the benchmark's own sweep request; its stdout must not move with speedups
+    code, out, _ = run(capsys, "bench", "--suite", "small", "--seeds", "600")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "88310909319db09dddea711b87176df2e6bfe00207b42b7641648508be7edb96")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import helpers
@@ -185,7 +187,9 @@ def test_resume_from_the_top_equals_naive_deferred_acceptance_at_every_threshold
 def test_search_counters_are_deterministic_and_count_the_probes():
     for seed in range(200):
         inst = bench_instance(seed)
-        lo, hi, steps = 0, len(inst.agents) * max(inst.cost.values()), 0
+        # the search starts at the largest spend with every agent at its top choice
+        tops = Counter(inst.agent_pref[a][0] for a in inst.agents)
+        lo, hi, steps = 0, max(k * inst.cost[p] for p, k in tops.items()), 0
         while lo < hi:
             mid = (lo + hi) // 2
             steps += 1
@@ -195,7 +199,11 @@ def test_search_counters_are_deterministic_and_count_the_probes():
                 lo = mid + 1
         report = solve_minmax(inst)
         assert report.stats["probes"] == steps, seed
+        # never more than the old range [0, n * max cost] allowed: ceil(log2(n * max cost + 1))
+        assert report.stats["probes"] <= (len(inst.agents) * max(inst.cost.values())).bit_length(), seed
         assert report.stats == solve_minmax(inst).stats, seed
+    assert solve_minmax(gen_random(300, 12, 4, 3, 0)).stats == {"probes": 7, "proposals": 494}
+    assert solve_minmax(gen_master_list(300, 12, 4, 3, 0)).stats == {"probes": 8, "proposals": 526}
     # the crowding market: the run at the top puts all 2,000 agents at p1,
     # every probe below t=2000 evicts the excess to p0, so the 2,000
     # proposals at p1 and 2,000 at p0 are all the work done
