@@ -25,12 +25,12 @@ The package provides:
 from __future__ import annotations
 
 from .approx import (approx_promote, approx_restrict, approx_via_minmax,
-                     lower_bound_sum, min_cost_choice, min_cost_program)
+                     lower_bound_sum, min_cost_program)
 from .budget import DEFAULT_BUDGET
 from .errors import (BudgetExceeded, DuplicateInList, EmptyAgentList,
                      FlexqError, NegativeCost, NonMutualEdge, NotStable,
                      ParseError, QuotaViolated, ValidationError, ZeroQuota)
-from .extension import (Extension, ExtensionContext, compute_extendable,
+from .extension import (ExtensionContext, compute_extendable,
                         largest_extension, min_cost_extension,
                         min_deviation_extension)
 from .fileio import (format_matching, parse_cost_file, parse_graph,
@@ -55,7 +55,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DuplicateInList",
     "EmptyAgentList",
-    "Extension",
     "ExtensionContext",
     "FlexqError",
     "GraphInstance",
@@ -95,7 +94,6 @@ __all__ = [
     "largest_extension",
     "lower_bound_sum",
     "max_cost",
-    "min_cost_choice",
     "min_cost_extension",
     "min_cost_program",
     "min_deviation_extension",

@@ -13,19 +13,8 @@ All three stay within a provable factor of the optimum:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .minmax import solve_minmax
 from .model import Matching, SmfqInstance, SolveReport, total_cost
-
-
-@dataclass
-class MinCostChoice:
-    """Each agent's cheapest program (ties to the most preferred), plus the
-    longest program list."""
-
-    p_star: dict[str, str]
-    ell_p: int
 
 
 def min_cost_program(instance: SmfqInstance, agent: str) -> str:
@@ -41,14 +30,6 @@ def min_cost_program(instance: SmfqInstance, agent: str) -> str:
 
 def _p_star(instance: SmfqInstance) -> dict[str, str]:
     return {a: min_cost_program(instance, a) for a in instance.agents}
-
-
-def min_cost_choice(instance: SmfqInstance) -> MinCostChoice:
-    """Each agent's cheapest program and the longest program list (``ell_p``)."""
-    return MinCostChoice(
-        p_star=_p_star(instance),
-        ell_p=max((len(instance.program_pref[p]) for p in instance.programs), default=0),
-    )
 
 
 def lower_bound_sum(instance: SmfqInstance) -> int:

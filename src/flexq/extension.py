@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .budget import check_budget
 from .errors import NotStable, ValidationError
 from .minmax import solve_minmax
 from .minsum import solve_minsum_exact
@@ -26,6 +27,7 @@ from .model import (
     HrInstance,
     Matching,
     SmfqInstance,
+    SolveReport,
     is_hr_stable,
     validate,
 )
@@ -50,21 +52,6 @@ class ExtensionContext:
         """Unmatched agents some stable extension can match."""
         return [a for a in self.a_u if self.g_m[a]]
 
-    @property
-    def unextendable(self) -> list[str]:
-        """Unmatched agents every stable extension must leave unmatched."""
-        return [a for a in self.a_u if not self.g_m[a]]
-
-
-@dataclass
-class Extension:
-    """A round-two outcome: the combined matching, its largest per-program
-    overflow beyond round one and, for the cost objective, the round-two spend."""
-
-    m2: Matching
-    d_star: int
-    round2_cost: int | None = None
-
 
 def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
     """Build the extension graph for a stable round-one matching.
@@ -74,8 +61,8 @@ def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
     each unmatched agent keeps the programs that rank it above their barrier.
     Raises :class:`NotStable` when ``m1`` is not stable in
     ``round1`` (quota violations surface as :class:`QuotaViolated`).
-    Unmatched agents stripped of every edge are reported as unextendable
-    rather than failing the computation.
+    An unmatched agent stripped of every edge keeps an empty list (no stable
+    extension can match it) rather than failing the computation.
     """
     ok, _ = is_hr_stable(round1, m1)
     if not ok:
@@ -95,12 +82,10 @@ def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
     return ExtensionContext(round1=round1, m1=m1, a_u=a_u, g_m=g_m)
 
 
-def _extension(ctx: ExtensionContext, extra: dict[str, str], round2_cost: int | None = None) -> Extension:
-    """Round one plus the leftover agents placed by ``extra``; a program's
-    overflow is the number of leftovers it takes on."""
+def _merge(ctx: ExtensionContext, extra: dict[str, str]) -> Matching:
+    """Round one plus the leftover agents placed by ``extra``, in instance order."""
     merged = ctx.m1.assignment | extra
-    return Extension(m2=Matching({a: merged[a] for a in ctx.round1.agents if a in merged}),
-                     d_star=max(Counter(extra.values()).values(), default=0), round2_cost=round2_cost)
+    return Matching({a: merged[a] for a in ctx.round1.agents if a in merged})
 
 
 def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInstance:
@@ -128,42 +113,45 @@ def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInsta
     return inst
 
 
-def largest_extension(ctx: ExtensionContext) -> Extension:
+def largest_extension(ctx: ExtensionContext) -> Matching:
     """Match every matchable leftover agent to its best surviving program.
 
     This extends the matching to the full matchable set; no stable extension
     can match an agent outside it.
     """
-    return _extension(ctx, {a: ctx.g_m[a][0] for a in ctx.a_u_matchable})
+    return _merge(ctx, {a: ctx.g_m[a][0] for a in ctx.a_u_matchable})
 
 
-def min_deviation_extension(ctx: ExtensionContext) -> Extension:
-    """Match all matchable leftovers while minimizing the largest overflow.
+def min_deviation_extension(ctx: ExtensionContext) -> SolveReport:
+    """Match all matchable leftovers, minimizing the largest overflow (the objective).
 
     Runs the exact max-spend solver on the extension graph with unit costs,
     so a program's spend there is exactly how many new agents it takes on.
     """
     rep = solve_minmax(_restricted_market(ctx, {p: 1 for p in ctx.round1.programs}))
-    ext = _extension(ctx, rep.matching.assignment)
-    if ext.d_star != rep.objective:
-        raise AssertionError(f"largest overflow {ext.d_star} differs from the solver's optimum {rep.objective}")
-    return ext
+    d_star = max(Counter(rep.matching.assignment.values()).values(), default=0)
+    if d_star != rep.objective:
+        raise AssertionError(f"largest overflow {d_star} differs from the solver's optimum {rep.objective}")
+    return SolveReport(_merge(ctx, rep.matching.assignment), d_star, "extend-deviation",
+                       certified_optimal=True, stats=rep.stats)
 
 
-def min_cost_extension(ctx: ExtensionContext, round2_costs: dict[str, int],
-                       budget: int | None = None, force: bool = False) -> Extension:
-    """Match all matchable leftovers while minimizing round-two spend.
+def min_cost_extension(ctx: ExtensionContext, prices: dict[str, int],
+                       budget: int | None = None, force: bool = False) -> SolveReport:
+    """Match all matchable leftovers, minimizing round-two spend (the objective).
 
-    ``round2_costs`` prices each program for the second round.  Every program
+    ``prices`` gives each program its price for the second round.  Every program
     left in the extension graph needs a price: the restricted market raises
     :class:`ValidationError` at the first one missing and its validation
     :class:`NegativeCost` at the first bad one.
     ``budget`` and ``force`` go to the exact total-spend solver, which raises
     :class:`BudgetExceeded` when the restricted market has too many cost
-    tuples.
+    tuples; a negative budget raises ValueError even with nothing to place.
     """
     if not ctx.a_u_matchable:
-        # an empty market still counts one cost tuple, which budget 0 would refuse
-        return _extension(ctx, {}, round2_cost=0)
-    rep = solve_minsum_exact(_restricted_market(ctx, dict(round2_costs)), budget=budget, force=force)
-    return _extension(ctx, rep.matching.assignment, rep.objective)
+        # skip the solver (it counts one tuple, which budget 0 refuses), not the sign check
+        check_budget(0, budget, force, "cost tuples")
+        return SolveReport(_merge(ctx, {}), 0, "extend-cost", certified_optimal=True)
+    rep = solve_minsum_exact(_restricted_market(ctx, dict(prices)), budget=budget, force=force)
+    return SolveReport(_merge(ctx, rep.matching.assignment), rep.objective, "extend-cost",
+                       certified_optimal=True, stats=rep.stats)

@@ -99,9 +99,11 @@ class SolveReport:
     (``extend-deviation``) or round-two cost (``extend-cost``).
 
     ``stats`` holds deterministic work counters where a solver reports them
-    (``solve_minsum_exact``: ``tuples``, ``nodes``, ``leaves``;
-    ``solve_minmax`` and ``approx_via_minmax``: ``probes``, ``proposals``;
-    the oracles: ``nodes``, ``leaves``); equality ignores it.
+    (``solve_minsum_exact`` and ``min_cost_extension``: ``tuples``,
+    ``nodes``, ``leaves``, none when no leftover is matchable;
+    ``solve_minmax``, ``approx_via_minmax`` and ``min_deviation_extension``:
+    ``probes``, ``proposals``; the oracles: ``nodes``, ``leaves``); equality
+    ignores it.
     """
 
     matching: Matching

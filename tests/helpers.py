@@ -13,6 +13,22 @@ from flexq import HrInstance, Matching, SmfqInstance, distinct_costs_per_agent
 
 
 # ---------------------------------------------------------------------------
+# fixed markets
+
+
+def unextendable_market() -> HrInstance:
+    """a2 sits below the barrier on the only program it lists."""
+    return HrInstance(
+        agents=["a0", "a1", "a2"],
+        programs=["p1", "p2"],
+        agent_pref={"a0": ["p2"], "a1": ["p2", "p1"], "a2": ["p2"]},
+        program_pref={"p1": ["a1"], "p2": ["a0", "a1", "a2"]},
+        cost={"p1": 0, "p2": 0},
+        quota={"p1": 1, "p2": 1},
+    )
+
+
+# ---------------------------------------------------------------------------
 # naive preference and stability predicates
 
 

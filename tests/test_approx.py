@@ -20,7 +20,6 @@ from flexq import (
     is_a_perfect,
     is_envy_free,
     lower_bound_sum,
-    min_cost_choice,
     min_cost_program,
     oracle_minsum,
     solve_minmax,
@@ -40,10 +39,10 @@ def test_cheapest_program_breaks_cost_ties_by_preference():
 
 def test_choice_summary_on_the_canonical_market():
     _, h = gen_fig1()
-    choice = min_cost_choice(h)
-    assert choice.p_star == {"a1": "p1", "a2": "p1", "a3": "p1",
-                             "a4": "p1", "a5": "p2"}
-    assert choice.ell_p == 5  # p2 ranks five agents
+    p_star = {a: min_cost_program(h, a) for a in h.agents}
+    assert p_star == {"a1": "p1", "a2": "p1", "a3": "p1",
+                      "a4": "p1", "a5": "p2"}
+    assert max(map(len, h.program_pref.values()), default=0) == 5  # p2 ranks five agents
     assert lower_bound_sum(h) == 1 + 1 + 1 + 1 + 2
 
 
@@ -99,7 +98,7 @@ def test_examples_scale_with_their_parameters():
 def test_heuristic_outputs_are_stable_and_bounded():
     for seed in range(120):
         inst = bench_instance(seed)
-        choice = min_cost_choice(inst)
+        ell_p = max(map(len, inst.program_pref.values()), default=0)
         lb = lower_bound_sum(inst)
         opt = oracle_minsum(inst).objective
         assert lb <= opt
@@ -108,8 +107,8 @@ def test_heuristic_outputs_are_stable_and_bounded():
             assert is_a_perfect(inst, report.matching), (seed, report.method)
             assert is_envy_free(inst, report.matching).ok, (seed, report.method)
             assert report.objective >= opt
-        assert approx_promote(inst).objective <= choice.ell_p * lb
-        assert approx_restrict(inst).objective <= choice.ell_p * lb
+        assert approx_promote(inst).objective <= ell_p * lb
+        assert approx_restrict(inst).objective <= ell_p * lb
         assert approx_via_minmax(inst).objective <= len(inst.programs) * opt
 
 
@@ -125,7 +124,7 @@ def test_promotion_only_ever_fills_cheapest_seats():
     for seed in range(120):
         inst = bench_instance(seed)
         report = approx_promote(inst)
-        allowed = set(min_cost_choice(inst).p_star.values())
+        allowed = {min_cost_program(inst, a) for a in inst.agents}
         assert set(report.matching.assignment.values()) <= allowed, seed
 
 

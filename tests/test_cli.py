@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import flexq
+import helpers
 from flexq import (
     SmfqInstance,
     gen_example1,
@@ -220,9 +221,16 @@ def test_gen_reductions_from_input_files(capsys, tmp_path):
     assert "p_u cost=3" in out
 
 
-def test_negative_counts_exit_2(capsys, fig1_h):
+def test_negative_counts_exit_2(capsys, fig1_h, fig1_g, tmp_path):
     code, _, err = run(capsys, "oracle", "minsum", "--budget", "-1", fig1_h)
     assert code == 2 and "non-negative" in err
+    # extend refuses it too, where the objective runs no budgeted search
+    code, _, err = run(capsys, "extend", fig1_g, "--objective", "deviation", "--budget", "-1")
+    assert code == 2 and "non-negative" in err and err.count("error:") == 1
+    path = tmp_path / "unextendable.hr"  # no leftover can be placed, so nothing is searched
+    path.write_text(serialize_instance(helpers.unextendable_market()))
+    code, _, err = run(capsys, "extend", str(path), "--objective", "cost", "--budget", "-1")
+    assert code == 2 and "non-negative" in err and err.count("error:") == 1
     code, _, err = run(capsys, "bench", "--suite", "small", "--seeds", "-5")
     assert code == 2 and "non-negative" in err
 

@@ -32,9 +32,9 @@ def canonical_context():
     return g, m1, compute_extendable(g, m1)
 
 
-def overflow(m1: Matching, ext) -> Counter:
+def overflow(m1: Matching, m2: Matching) -> Counter:
     """How many leftover agents each program takes on in round two."""
-    return Counter(ext.m2.assignment.values()) - Counter(m1.assignment.values())
+    return Counter(m2.assignment.values()) - Counter(m1.assignment.values())
 
 
 def test_extension_graph_prunes_below_the_barrier():
@@ -42,7 +42,7 @@ def test_extension_graph_prunes_below_the_barrier():
     assert ctx.a_u == ["a3", "a5"]
     assert ctx.g_m == {"a3": ["p2", "p1"], "a5": ["p2"]}
     assert ctx.a_u_matchable == ["a3", "a5"]
-    assert ctx.unextendable == []
+    assert [a for a in ctx.a_u if not ctx.g_m[a]] == []
 
 
 def test_requires_a_stable_first_round():
@@ -55,36 +55,35 @@ def test_requires_a_stable_first_round():
 
 def test_largest_extension_matches_everyone_to_their_top():
     g, m1, ctx = canonical_context()
-    ext = largest_extension(ctx)
-    assert ext.m2.assignment == {"a1": "p1", "a2": "p2", "a4": "p1",
-                                 "a3": "p2", "a5": "p2"}
-    assert overflow(m1, ext) == {"p2": 2}
-    assert ext.d_star == 2
-    assert is_envy_free(g, ext.m2).ok
+    m2 = largest_extension(ctx)
+    assert m2.assignment == {"a1": "p1", "a2": "p2", "a4": "p1",
+                             "a3": "p2", "a5": "p2"}
+    assert overflow(m1, m2) == {"p2": 2}
+    assert max(overflow(m1, m2).values()) == 2
+    assert is_envy_free(g, m2).ok
 
 
 def test_min_deviation_extension_balances_the_overflow():
     g, m1, ctx = canonical_context()
     ext = min_deviation_extension(ctx)
-    assert ext.m2.assignment == {"a1": "p1", "a2": "p2", "a4": "p1",
-                                 "a3": "p1", "a5": "p2"}
-    assert overflow(m1, ext) == {"p1": 1, "p2": 1}
-    assert ext.d_star == 1
-    assert ext.round2_cost is None
-    assert is_envy_free(g, ext.m2).ok
+    assert ext.matching.assignment == {"a1": "p1", "a2": "p2", "a4": "p1",
+                                       "a3": "p1", "a5": "p2"}
+    assert overflow(m1, ext.matching) == {"p1": 1, "p2": 1}
+    assert ext.objective == 1
+    assert is_envy_free(g, ext.matching).ok
 
 
 def test_min_cost_extension_prices_the_second_round():
-    g, _, ctx = canonical_context()
+    g, m1, ctx = canonical_context()
     ext = min_cost_extension(ctx, {"p1": 1, "p2": 2})
-    assert ext.round2_cost == 3  # a3 at p1 for 1, a5 at p2 for 2
-    assert ext.m2.assignment == {"a1": "p1", "a2": "p2", "a4": "p1",
-                                 "a3": "p1", "a5": "p2"}
-    assert ext.d_star == 1
+    assert ext.objective == 3  # a3 at p1 for 1, a5 at p2 for 2
+    assert ext.matching.assignment == {"a1": "p1", "a2": "p2", "a4": "p1",
+                                       "a3": "p1", "a5": "p2"}
+    assert max(overflow(m1, ext.matching).values()) == 1
     # different prices steer the same agents elsewhere
     ext2 = min_cost_extension(ctx, {"p1": 5, "p2": 1})
-    assert ext2.round2_cost == 2
-    assert ext2.m2.assignment["a3"] == "p2"
+    assert ext2.objective == 2
+    assert ext2.matching.assignment["a3"] == "p2"
 
 
 def test_min_cost_extension_forwards_the_budget():
@@ -92,7 +91,7 @@ def test_min_cost_extension_forwards_the_budget():
     with pytest.raises(BudgetExceeded):
         min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=1)  # two cost tuples
     ext = min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=1, force=True)
-    assert ext.round2_cost == 3
+    assert ext.objective == 3
 
 
 def test_min_cost_extension_validates_its_price_table():
@@ -105,6 +104,33 @@ def test_min_cost_extension_validates_its_price_table():
     # with several bad prices, the first program in instance order is named
     with pytest.raises(NegativeCost, match="program p1 "):
         min_cost_extension(ctx, {"p1": -1, "p2": -2})
+
+
+def test_round_two_solvers_report_their_method_and_counters():
+    _, _, ctx = canonical_context()
+    assert isinstance(largest_extension(ctx), Matching)
+    dev = min_deviation_extension(ctx)
+    assert (dev.method, dev.certified_optimal) == ("extend-deviation", True)
+    assert set(dev.stats) == {"probes", "proposals"}
+    cost = min_cost_extension(ctx, {"p1": 1, "p2": 2})
+    assert (cost.method, cost.certified_optimal) == ("extend-cost", True)
+    assert set(cost.stats) == {"tuples", "nodes", "leaves"}
+    assert cost.stats["tuples"] == 2  # a3 may take p2 or p1
+    # with no matchable leftover, no search runs and no counter is reported
+    g = helpers.unextendable_market()
+    empty = min_cost_extension(compute_extendable(g, gale_shapley_a_optimal(g)), {})
+    assert (empty.method, empty.objective, empty.stats) == ("extend-cost", 0, {})
+
+
+def test_min_cost_extension_refuses_a_negative_budget():
+    _, _, ctx = canonical_context()
+    with pytest.raises(ValueError, match="non-negative"):
+        min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=-1)
+    # also when there is nothing to search
+    g = helpers.unextendable_market()
+    ctx = compute_extendable(g, gale_shapley_a_optimal(g))
+    with pytest.raises(ValueError, match="non-negative"):
+        min_cost_extension(ctx, {}, budget=-1)
 
 
 def two_leftover_programs_market() -> HrInstance:
@@ -132,39 +158,27 @@ def test_programs_outside_the_extension_graph_need_no_price():
     g = two_leftover_programs_market()
     ctx = compute_extendable(g, gale_shapley_a_optimal(g))
     ext = min_cost_extension(ctx, {"p2": 1, "p3": 2})
-    assert ext.m2.assignment["u"] == "p2"
-    assert ext.round2_cost == 1
-
-
-def unextendable_market() -> HrInstance:
-    """a2 sits below the barrier on the only program it lists."""
-    return HrInstance(
-        agents=["a0", "a1", "a2"],
-        programs=["p1", "p2"],
-        agent_pref={"a0": ["p2"], "a1": ["p2", "p1"], "a2": ["p2"]},
-        program_pref={"p1": ["a1"], "p2": ["a0", "a1", "a2"]},
-        cost={"p1": 0, "p2": 0},
-        quota={"p1": 1, "p2": 1},
-    )
+    assert ext.matching.assignment["u"] == "p2"
+    assert ext.objective == 1
 
 
 def test_unmatchable_agents_are_reported_not_matched():
-    g = unextendable_market()
+    g = helpers.unextendable_market()
     m1 = gale_shapley_a_optimal(g)
     assert m1.assignment == {"a0": "p2", "a1": "p1"}
     ctx = compute_extendable(g, m1)
     assert ctx.a_u_matchable == []
-    assert ctx.unextendable == ["a2"]
+    assert [a for a in ctx.a_u if not ctx.g_m[a]] == ["a2"]
     ext = min_deviation_extension(ctx)
-    assert ext.m2 == m1
-    assert ext.d_star == 0
+    assert ext.matching == m1
+    assert ext.objective == 0
     ext = min_cost_extension(ctx, {"p1": 4, "p2": 4})
-    assert ext.m2 == m1
-    assert ext.round2_cost == 0
+    assert ext.matching == m1
+    assert ext.objective == 0
     # nothing to search, so even a zero budget is enough
-    assert min_cost_extension(ctx, {"p1": 4, "p2": 4}, budget=0).round2_cost == 0
+    assert min_cost_extension(ctx, {"p1": 4, "p2": 4}, budget=0).objective == 0
     # and with no leftover to place, no program needs a price
-    assert min_cost_extension(ctx, {}).round2_cost == 0
+    assert min_cost_extension(ctx, {}).objective == 0
     # and indeed placing a2 at p2 would make a1 envious
     forced = Matching(dict(m1.assignment) | {"a2": "p2"})
     assert not is_envy_free(g, forced).ok
@@ -185,22 +199,24 @@ def test_every_extension_is_envy_free_on_the_full_market():
         inst = bench_hr_instance(seed)
         m1 = gale_shapley_a_optimal(inst)
         ctx = compute_extendable(inst, m1)
-        for build in (largest_extension, min_deviation_extension):
-            ext = build(ctx)
-            assert is_envy_free(inst, ext.m2).ok, (seed, build.__name__)
+        for m2, name in ((largest_extension(ctx), "largest"),
+                         (min_deviation_extension(ctx).matching, "deviation")):
+            assert is_envy_free(inst, m2).ok, (seed, name)
             # round one assignments are never disturbed
             for a, p in m1.assignment.items():
-                assert ext.m2.assignment[a] == p
+                assert m2.assignment[a] == p
             # every matchable agent is matched, unextendable ones are not
-            matched = set(ext.m2.assignment)
+            matched = set(m2.assignment)
             assert matched == set(m1.assignment) | set(ctx.a_u_matchable)
 
 
 def test_min_deviation_never_exceeds_the_largest_extension():
     for seed in range(80):
         inst = bench_hr_instance(seed)
-        ctx = compute_extendable(inst, gale_shapley_a_optimal(inst))
-        assert min_deviation_extension(ctx).d_star <= largest_extension(ctx).d_star
+        m1 = gale_shapley_a_optimal(inst)
+        ctx = compute_extendable(inst, m1)
+        largest = max(overflow(m1, largest_extension(ctx)).values(), default=0)
+        assert min_deviation_extension(ctx).objective <= largest
 
 
 def test_matchable_sets_shrink_against_the_deferred_acceptance_round():
