@@ -6,7 +6,7 @@ Subcommands::
     solve minsum [--method exact|promote|restrict|minmax] [--budget N] [--force] <file>
     check <file> --matching <mfile>
     oracle minsum|minmax <file> [--budget N] [--force]
-    extend <hr-file> --objective deviation|cost [--costs <file>] [--budget N] [--force]
+    extend <hr-file> --objective deviation | --objective cost [--costs <file>] [--budget N] [--force]
     gen fig1|fig2|ex1|ex2|random|masterlist|setcover|vertexcover ...
     bench --suite small --seeds K
 
@@ -104,7 +104,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     round1 = gale_shapley_a_optimal(instance)
     ctx = compute_extendable(instance, round1)
     if args.objective == "deviation":
-        check_budget(0, args.budget, args.force, "cost tuples")  # bounds no search here; only its sign is checked
+        check_budget(0, args.budget, args.force, "cost tuples")  # a negative budget is refused as anywhere
+        if args.budget is not None or args.force:
+            raise ValueError("--budget and --force bound no search with --objective deviation")
         report = min_deviation_extension(ctx)
     else:
         costs = parse_cost_file(_read(args.costs)) if args.costs else dict(instance.cost)

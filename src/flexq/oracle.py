@@ -7,13 +7,13 @@ with the solvers is the instance accessors.
 
 One function, :func:`oracle_optima`, checks the budget and walks every
 envy-free assignment depth-first once, scoring each full one for total and
-for largest spend.  The walk prunes on envy already created by a partial
-assignment, which is sound because an envy pair never goes away as more
-agents are placed: the envied roster only grows and the envious agent's
-assignment is already fixed.  Each test reads one running extreme per
-program (the worst rank placed there, or the best rank of a placed agent who
-prefers it).  These and the running spends are stacks pushed on placement
-and popped on backtrack, so a full assignment is scored in O(1).
+for largest spend.  Each seat (an agent at one program on its list) has a
+bit and a precomputed conflict mask: the seats of other agents that would be
+in envy with it.  Envy is a relation between two placed agents, and a placed
+agent's seat never changes as more agents are placed, so one AND of the
+candidate's mask with the placed seats' bits is the whole envy test, and
+pruning on it is sound.  The placed bits, per-program counts and running
+spends are undone on backtrack, so a full assignment is scored in O(1).
 """
 
 from __future__ import annotations
@@ -33,67 +33,84 @@ def oracle_optima(instance: SmfqInstance, budget: int | None = None,
     walks agents in instance order, each over its list in preference order.
     Only a strict improvement is copied, so the first optimum of each wins.
     """
-    agents = instance.agents
-    n = len(agents)
-    check_budget(math.prod(len(instance.agent_pref[a]) for a in agents), budget, force, "assignments")
-    # depth-first with an explicit stack, so deep markets cannot exhaust the
-    # recursion limit.  choices[i]: agent i's (program, its rank of i, cost,
-    # members and enviers there, and (members, enviers, rank of i) of each
-    # program above it), so the walk looks nothing up by program id
-    members, enviers = {p: [] for p in instance.programs}, {p: [] for p in instance.programs}
+    agents, pref, arank = instance.agents, instance.agent_pref, instance.arank
+    check_budget(math.prod(len(pref[a]) for a in agents), budget, force, "assignments")
+    # agent a's k-th seat is bit base[a] + k.  For seat (a, p), a running OR
+    # down p's list gives over: the seats of agents ranked above a at p that
+    # they like less than p (from there they would envy a).  One up gives
+    # under: the p-seats of agents ranked below a, whom a envies from any seat
+    # it likes less than p; it runs from the top seat that reads it down
+    base, nbits = {}, 0
+    for a in agents:
+        base[a], nbits = nbits, nbits + len(pref[a])
+    over, under = [0] * nbits, [0] * nbits
+    for p, roster in instance.program_pref.items():
+        run = lo = 0
+        for b in roster:
+            s, end = base[b] + arank[b][p], base[b] + len(pref[b])
+            over[s] = run
+            if s + 1 < end:
+                run |= (1 << end) - (1 << s + 1)
+            lo += not run
+        run = 0
+        for b in reversed(roster[lo:]):
+            s = base[b] + arank[b][p]
+            if s + 1 < base[b] + len(pref[b]):
+                under[s] = run
+            run |= 1 << s
+    # choices[i]: agent i's (program, its index, cost, seat, over | the unders of the
+    # seats above it); an OR that would add nothing keeps the one object
+    index = {p: j for j, p in enumerate(instance.programs)}
     choices = []
     for a in agents:
-        pairs = [(p, instance.prank[p][a]) for p in instance.agent_pref[a]]
-        choices.append([(p, rp, instance.cost[p], members[p], enviers[p],
-                         [(members[q], enviers[q], rq) for q, rq in pairs[:k]])
-                        for k, (p, rp) in enumerate(pairs)])
+        row, seen = [], 0
+        for s, p in enumerate(pref[a], base[a]):
+            c, u = over[s], under[s]
+            row.append((p, index[p], instance.cost[p], s, seen | c if seen and c else seen or c))
+            seen = seen | u if seen and u else seen or u
+        choices.append(row)
     cands = [iter(c) for c in choices]
-    placed, total, top = [], [0], [0]  # agents 0..i-1's choices; the spends after each
-    nodes = sum_best = max_best = 0
-    leaves, sum_at, max_at = (0, None, None) if n else (1, [], [])  # the root is a leaf
-    i, last = (0 if n else -1), n - 1
-    while i >= 0:
-        if len(placed) > i:  # back from the subtree below agent i's placement
-            _, _, _, mem, _, above = placed.pop()
-            mem.pop()
-            for _, eq, _ in above:
-                eq.pop()
-            del total[-1], top[-1]
+    count = [0] * len(index)  # agents placed at each program
+    placed, tops = [], []  # agents 0..i-1's choices; the largest spend before each
+    mask = total = top = nodes = sum_best = max_best = 0  # mask: the placed agents' seat bits
+    leaves, sum_at, max_at = (0, None, None) if agents else (1, [], [])  # the root is a leaf
+    i, last = (0 if agents else -1), len(agents) - 1
+    while i >= 0:  # depth-first with explicit stacks, so no market is too deep
         for ch in cands[i]:
-            _, rp, c, mem, env, above = ch
-            # someone already placed prefers this program and outranks i there
-            if env and env[-1] < rp:
+            if ch[4] & mask:
+                continue  # in envy with an agent already placed
+            _, j, c, s, _ = ch
+            if i == last:  # a full assignment: score it without placing i
+                leaves += 1
+                if sum_at is None or total + c < sum_best:
+                    sum_best, sum_at = total + c, placed + [ch]
+                x = c * (count[j] + 1)
+                x = top if x < top else x
+                if max_at is None or x < max_best:
+                    max_best, max_at = x, placed + [ch]
                 continue
-            for mq, _, rq in above:
-                if mq and mq[-1] > rq:
-                    break  # i would envy a worse agent already placed above
-            else:
-                if i == last:  # a full assignment: score it without placing i
-                    leaves += 1
-                    if sum_at is None or total[-1] + c < sum_best:
-                        sum_best, sum_at = total[-1] + c, placed + [ch]
-                    x = c * (len(mem) + 1)
-                    if x < top[-1]:
-                        x = top[-1]
-                    if max_at is None or x < max_best:
-                        max_best, max_at = x, placed + [ch]
-                    continue
-                nodes += 1
-                mem.append(mem[-1] if mem and mem[-1] > rp else rp)
-                for _, eq, rq in above:
-                    eq.append(eq[-1] if eq and eq[-1] < rq else rq)
-                placed.append(ch)
-                total.append(total[-1] + c)
-                x = c * len(mem)
-                top.append(x if x > top[-1] else top[-1])
-                i += 1
-                cands[i] = iter(choices[i])
-                break
-        else:
+            nodes += 1
+            mask |= 1 << s
+            count[j] += 1
+            placed.append(ch)
+            total += c
+            tops.append(top)
+            x = c * count[j]
+            top = x if x > top else top
+            i += 1
+            cands[i] = iter(choices[i])
+            break
+        else:  # agent i has no choice left: take back agent i-1's
             i -= 1
+            if placed:
+                _, j, c, s, _ = placed.pop()
+                mask ^= 1 << s
+                count[j] -= 1
+                total -= c
+                top = tops.pop()
     if sum_at is None:
         raise AssertionError("a validated instance always admits the top-choice matching")
-    stats = {"nodes": nodes + leaves if n else 0, "leaves": leaves}
+    stats = {"nodes": nodes + leaves if agents else 0, "leaves": leaves}
     return tuple(SolveReport(Matching(dict(zip(agents, [ch[0] for ch in at]))), best, method,
                              certified_optimal=True, stats=dict(stats))
                  for at, best, method in ((sum_at, sum_best, "oracle-minsum"),

@@ -120,16 +120,32 @@ def test_oracle_on_the_empty_market(capsys, tmp_path):
 
 
 def test_oracle_handles_markets_deeper_than_the_recursion_limit(capsys, tmp_path):
-    # one program, so the search space is a single assignment, but the
-    # enumeration descends once per agent
-    agents = [f"a{i}" for i in range(3000)]
-    inst = SmfqInstance(agents, ["p1"], {a: ["p1"] for a in agents},
-                        {"p1": list(agents)}, {"p1": 1})
-    path = tmp_path / "deep.smfq"
-    path.write_text(serialize_instance(inst))
-    code, out, _ = run(capsys, "oracle", "minsum", str(path))
-    assert code == 0
-    assert "# objective=3000\n" in out
+    # one shared program, so the search space has at most two assignments, but
+    # the enumeration descends once per agent.  In the wide market a0 also
+    # lists a private p2 and is ranked first on p1, so its seat at p2 conflicts
+    # with every other seat: a conflict-mask build quadratic in the agents
+    # shows up here in --durations
+    for n, wide in ((3000, False), (20000, False), (20000, True)):
+        agents = [f"a{i}" for i in range(n)]
+        prefs = {a: ["p1"] for a in agents}
+        rosters, costs = {"p1": list(agents)}, {"p1": 1}
+        if wide:
+            prefs["a0"], rosters["p2"], costs["p2"] = ["p1", "p2"], ["a0"], 1
+        inst = SmfqInstance(agents, list(rosters), prefs, rosters, costs)
+        path = tmp_path / "deep.smfq"
+        path.write_text(serialize_instance(inst))
+        for objective in ("minsum", "minmax"):
+            code, out, _ = run(capsys, "oracle", objective, str(path))
+            assert code == 0, (n, wide)
+            assert f"# objective={n}\n" in out and out.startswith("a0 -> p1\n"), (n, wide)
+
+
+def test_extend_deviation_refuses_budget_and_force(capsys, fig1_g):
+    # the deviation objective runs no budgeted search, so neither flag may be given
+    for flags in (("--budget", "0"), ("--budget", "5"), ("--force",), ("--budget", "5", "--force")):
+        code, out, err = run(capsys, "extend", fig1_g, "--objective", "deviation", *flags)
+        assert (code, out) == (2, ""), flags
+        assert err.count("error:") == 1 and "--budget" in err and "--force" in err, flags
 
 
 def test_budget_exit_code(capsys, fig1_h):

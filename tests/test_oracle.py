@@ -11,6 +11,7 @@ from flexq import (
     bench_hr_instance,
     bench_instance,
     gen_fig1,
+    gen_master_list,
     gen_random,
     max_cost,
     oracle_minmax,
@@ -92,6 +93,11 @@ ONE_AGENT = [parse_instance("smfq 1\n[agents]\na1: p1 p2 p3\n[programs]\n"
                             "p1 cost=3: a1\np2 cost=1: a1\np3 cost=1: a1\n"),
              parse_instance("smfq 1\n[agents]\na1: p1\n[programs]\np1 cost=2: a1\n")]
 
+# complete lists and master lists, where one placement conflicts with seats
+# at several programs above it
+CROSSING = ([gen_random(7, 3, 3, 2, s) for s in range(20)]
+            + [gen_master_list(7, 4, 3, 2, s) for s in range(20)])
+
 
 def test_oracles_return_the_first_optimum_in_product_order():
     """Checked against the naive product filter, whose order is the same
@@ -100,6 +106,7 @@ def test_oracles_return_the_first_optimum_in_product_order():
     must return the same report."""
     markets = [bench_instance(s) for s in range(300)]
     markets += [gen_random(8, 4, 3, 2, s) for s in range(20)] + ONE_AGENT
+    markets += CROSSING
     for k, inst in enumerate(markets):
         stable = helpers.all_stable_assignments(inst)
         for r, oracle, score, brute, recheck in zip(
@@ -135,7 +142,7 @@ def test_work_counters_equal_an_independent_count_of_envy_free_prefixes():
     nothing else and miss nothing."""
     markets = [bench_instance(s) for s in range(300)]
     markets += [gen_random(8, 4, 3, 2, s) for s in range(20)]
-    markets += ONE_AGENT
+    markets += ONE_AGENT + CROSSING
     markets += [gen_fig1()[1], parse_instance("smfq 1\n[agents]\n[programs]\n")]
     wants = []
     for k, inst in enumerate(markets):
