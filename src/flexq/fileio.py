@@ -10,12 +10,17 @@ Instance files::
     p1 cost=1: a2 a4 a1 a3      <- "hr" files additionally require quota=<int>
     p2 cost=2: a1 a2 a5 a3 a4
 
-Identifiers match ``[A-Za-z0-9_]+`` and integers ``-?[0-9]+``.  An id list
-is scanned once for a character outside ids and whitespace; only a hit falls
-back to checking token by token, which names the first bad id and its line.
-Parsing validates the result, so a grammatically fine but structurally broken
-file raises the corresponding validation error.  ``serialize_instance`` emits the canonical form above and
-round-trips: parse(serialize(x)) == x.  As in a generated instance, each id
+Identifiers match ``[A-Za-z0-9_]+`` and integers ``-?[0-9]+``.  An id is
+checked when it is first seen: a list naming only ids seen before needs no
+check, and one that names a new id is scanned once for a character outside
+ids and whitespace; only a hit falls back to checking token by token, which
+names the first bad id and its line.  Parsing validates the result, so a
+grammatically fine but structurally broken file raises the corresponding
+validation error.  An id that is listed but never declared fails that
+validation's mutual-edge check, the first one a parsed file can fail; only
+then is the first undeclared id named, with the same message as ever.
+``serialize_instance`` emits the canonical form above and round-trips:
+parse(serialize(x)) == x.  As in a generated instance, each id
 is one object wherever it appears, and ``parse_matching`` returns those
 objects too: dict lookups in the rank tables then hit on identity instead of
 comparing strings.
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import NonMutualEdge, ParseError
 from .generators import GraphInstance, SetCoverInstance
 from .model import HrInstance, Matching, SmfqInstance, validate
 
@@ -52,7 +57,7 @@ def _meaningful_lines(text: str):
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield i, line
 
@@ -86,16 +91,16 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
 
     The parsed instance is validated before being returned.
     """
-    lines = list(_meaningful_lines(text))
-    if not lines:
+    lines = _meaningful_lines(text)
+    lineno, header = next(lines, (None, None))
+    if header is None:
         raise ParseError("empty input: expected a 'smfq 1' or 'hr 1' header")
-    lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] not in ("smfq", "hr") or parts[1] != "1":
         raise ParseError(f"expected header 'smfq 1' or 'hr 1', got {header!r}", lineno)
     kind = parts[0]
 
-    ids: dict[str, str] = {}  # the one object kept for each id
+    ids: dict[str, str] = {}  # the one object kept for each id; every key passed the id check
     canon = ids.setdefault
     agent_pref: dict[str, list[str]] = {}
     program_pref: dict[str, list[str]] = {}
@@ -103,7 +108,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
     quota: dict[str, int] = {}
 
     section = None
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         if line == "[agents]":
             if section is not None:
                 raise ParseError("unexpected [agents] section", lineno)
@@ -124,21 +129,22 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             raise ParseError("expected '<id> ...: <list>'", lineno)
 
         if section == "agents":
-            tokens = head.split()
-            if len(tokens) != 1:
-                raise ParseError("agent lines are '<id>: <program ids>'", lineno)
-            a = _check_ident(tokens[0], lineno)
-            if a in agent_pref:
-                raise ParseError(f"duplicate agent line for {a}", lineno)
-            names = _ident_list(tail, lineno)
-            agent_pref[canon(a, a)] = [*map(canon, names, names)]
+            # the line is stripped, so a one-id head is that id plus trailing whitespace
+            h = head.rstrip()
+            if not _IDENT.match(h):
+                if len(head.split()) != 1:
+                    raise ParseError("agent lines are '<id>: <program ids>'", lineno)
+                _check_ident(h, lineno)
+            if h in agent_pref:
+                raise ParseError(f"duplicate agent line for {h}", lineno)
+            pref = agent_pref
         else:
             tokens = head.split()
             if not tokens:
                 raise ParseError("program lines are '<id> cost=<int> [quota=<int>]: <agent ids>'", lineno)
-            p = _check_ident(tokens[0], lineno)
-            if p in program_pref:
-                raise ParseError(f"duplicate program line for {p}", lineno)
+            h = _check_ident(tokens[0], lineno)
+            if h in program_pref:
+                raise ParseError(f"duplicate program line for {h}", lineno)
             keys: dict[str, int] = {}
             for tok in tokens[1:]:
                 key, eq, val = tok.partition("=")
@@ -148,31 +154,24 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
                     raise ParseError(f"duplicate attribute {key!r}", lineno)
                 keys[key] = _parse_int(val, key, lineno)
             if "cost" not in keys:
-                raise ParseError(f"program {p} is missing cost=<int>", lineno)
+                raise ParseError(f"program {h} is missing cost=<int>", lineno)
             if kind == "hr" and "quota" not in keys:
-                raise ParseError(f"program {p} is missing quota=<int>, required by 'hr 1'", lineno)
+                raise ParseError(f"program {h} is missing quota=<int>, required by 'hr 1'", lineno)
             if kind == "smfq" and "quota" in keys:
-                raise ParseError(f"program {p} carries a quota, not allowed in 'smfq 1'", lineno)
-            names = _ident_list(tail, lineno)
-            program_pref[canon(p, p)] = [*map(canon, names, names)]
-            cost[p] = keys["cost"]
+                raise ParseError(f"program {h} carries a quota, not allowed in 'smfq 1'", lineno)
+            cost[h] = keys["cost"]
             if kind == "hr":
-                quota[p] = keys["quota"]
+                quota[h] = keys["quota"]
+            pref = program_pref
+        h = canon(h, h)
+        seen = len(ids)
+        names = tail.split()
+        pref[h] = [*map(canon, names, names)]
+        if len(ids) != seen:  # only a list that names a new id needs the id check
+            _ident_list(tail, lineno)
 
     if section != "programs":
         raise ParseError("missing [programs] section")
-
-    # one set test per side; the ordered scan runs only to name the first offender
-    if not program_pref.keys() >= set().union(*agent_pref.values()):
-        for a, lst in agent_pref.items():
-            for p in lst:
-                if p not in program_pref:
-                    raise ParseError(f"agent {a} references undeclared program {p}")
-    if not agent_pref.keys() >= set().union(*program_pref.values()):
-        for p, lst in program_pref.items():
-            for a in lst:
-                if a not in agent_pref:
-                    raise ParseError(f"program {p} references undeclared agent {a}")
 
     # the dicts keep declaration order, so their keys are the id lists
     agents, programs = list(agent_pref), list(program_pref)
@@ -180,7 +179,20 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         instance: SmfqInstance = HrInstance(agents, programs, agent_pref, program_pref, cost, quota=quota)
     else:
         instance = SmfqInstance(agents, programs, agent_pref, program_pref, cost)
-    validate(instance)
+    try:
+        validate(instance)
+    except NonMutualEdge:
+        # an undeclared id always fails the mutual-edge scan, the first check a parsed file
+        # can fail, so the ordered scans that name it run only here, agent side first
+        for a, lst in agent_pref.items():
+            for p in lst:
+                if p not in program_pref:
+                    raise ParseError(f"agent {a} references undeclared program {p}") from None
+        for p, lst in program_pref.items():
+            for a in lst:
+                if a not in agent_pref:
+                    raise ParseError(f"program {p} references undeclared agent {a}") from None
+        raise
     return instance
 
 

@@ -169,7 +169,8 @@ def test_bad_agent_lines(line):
 
 
 def test_valid_lists_are_scanned_without_a_per_token_check(monkeypatch):
-    # a valid file checks one id per line, its head, however long the lists
+    # a valid file checks one id per program line, its head, however long the
+    # lists; an agent head that is an id needs no call
     text = serialize_instance(gen_random_hr(500, 20, 10, 9, 40, 0))
     checked = []
     check = fileio._check_ident
@@ -181,7 +182,7 @@ def test_valid_lists_are_scanned_without_a_per_token_check(monkeypatch):
     monkeypatch.setattr(fileio, "_check_ident", counting)
     parse_instance(text)
     # agents on lines 3-502, programs on 504-523
-    assert checked == [*range(3, 503), *range(504, 524)]
+    assert checked == [*range(504, 524)]
 
 
 def test_the_head_id_is_checked_before_its_list():
@@ -242,6 +243,108 @@ def test_id_lists_are_accepted_exactly_when_every_token_is_an_identifier(text):
     assert str(err) == f"line {expected[0]}: {expected[1]}"
 
 
+_IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
+# whitespace str.strip() drops before a colon, though none of it ends a line
+_HEAD_SEPARATORS = ["", " ", "\x0b", "　", "\x1c"]
+
+
+@st.composite
+def _head_files(draw):
+    """An smfq file with agent heads that may be bad, two ids, empty or repeated,
+    a missing colon, a bad token recurring on later lines, valid but
+    undeclared ids on either side, and a program that drops one agent."""
+    lines = ["smfq 1", "[agents]"]
+    listed: dict[str, list[str]] = {p: [] for p in _GOOD_IDS}
+    # in half the files every line parses, so the checks after the lines decide
+    faulty = draw(st.booleans())
+    recurring = draw(st.sampled_from(_BAD_IDS))
+    for i in range(1, draw(st.integers(min_value=1, max_value=4)) + 1):
+        a = f"a{i}"
+        # "a1" again from the second line on is a duplicate agent line
+        head = draw(st.sampled_from([a, a, "a1", "", f"{a} x", "a-1", "é"])) if faulty else a
+        good = draw(st.permutations(_GOOD_IDS))[:draw(st.integers(min_value=1, max_value=3))]
+        for p in good:
+            listed[p].append(a)
+        tokens = list(good)
+        if faulty and draw(st.booleans()):
+            tokens.insert(draw(st.integers(min_value=0, max_value=len(tokens))), recurring)
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            tokens.append("p9")
+        colon = draw(st.sampled_from(_HEAD_SEPARATORS)) + ":"
+        if faulty and draw(st.integers(min_value=0, max_value=5)) == 0:
+            colon = " "
+        lines.append(head + colon + " " + " ".join(tokens))
+    lines.append("[programs]")
+    for p, agents in listed.items():
+        if agents and draw(st.integers(min_value=0, max_value=3)) == 0:
+            agents = agents[1:]
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            agents = [*agents, "a9"]
+        lines.append(f"{p} cost=0: {' '.join(agents)}")
+    return "\n".join(lines) + "\n"
+
+
+def _first_error(text):
+    """The error a file of _head_files must raise, from the file grammar and
+    the documented check order: line by line, then undeclared ids (agent side
+    first), then mutual edges.  None for a valid file."""
+    agents: dict[str, list[str]] = {}
+    programs: dict[str, list[str]] = {}
+    section = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line in ("[agents]", "[programs]"):
+            section = line
+            continue
+        if line in ("", "smfq 1"):
+            continue
+        head, sep, tail = line.partition(":")
+        if not sep:
+            return ParseError, lineno, "expected '<id> ...: <list>'"
+        heads, names = head.split(), tail.split()
+        if section == "[agents]":
+            if len(heads) != 1:
+                return ParseError, lineno, "agent lines are '<id>: <program ids>'"
+            if not _IDENT_RE.fullmatch(heads[0]):
+                return ParseError, lineno, f"bad identifier {heads[0]!r}"
+            if heads[0] in agents:
+                return ParseError, lineno, f"duplicate agent line for {heads[0]}"
+            agents[heads[0]] = names
+        else:
+            programs[heads[0]] = names
+        bad = [t for t in names if not _IDENT_RE.fullmatch(t)]
+        if bad:
+            return ParseError, lineno, f"bad identifier {bad[0]!r}"
+    for a, lst in agents.items():
+        for p in lst:
+            if p not in programs:
+                return ParseError, None, f"agent {a} references undeclared program {p}"
+    for p, lst in programs.items():
+        for a in lst:
+            if a not in agents:
+                return ParseError, None, f"program {p} references undeclared agent {a}"
+    for a, lst in agents.items():
+        for p in lst:
+            if a not in programs[p]:
+                return NonMutualEdge, None, f"agent {a} lists {p}, but {p} does not list {a}"
+    return None
+
+
+@given(_head_files())
+@settings(max_examples=400, deadline=None)
+def test_heads_and_repeated_ids_give_the_documented_first_error(text):
+    expected = _first_error(text)
+    if expected is None:
+        inst = parse_instance(text)
+        assert parse_instance(serialize_instance(inst)) == inst
+        return
+    kind, line, message = expected
+    err = pytest.raises((ParseError, ValidationError), parse_instance, text).value
+    assert type(err) is kind
+    assert getattr(err, "line", None) == line
+    assert str(err) == (f"line {line}: {message}" if line else message)
+
+
 def test_duplicate_declarations_rejected():
     with pytest.raises(ParseError):
         parse_instance("smfq 1\n[agents]\na1: p1\na1: p1\n"
@@ -286,6 +389,15 @@ def test_undeclared_references_rejected():
                         "smfq 1\n[agents]\na1: p1 p8\na2: p7\n[programs]\n"
                         "p1 cost=0: a9 a1\n").value
     assert "agent a1 references undeclared program p8" in str(err)
+    # the undeclared id is named, not the non-mutual edge on a1 before it
+    err = pytest.raises(ParseError, parse_instance,
+                        "smfq 1\n[agents]\na1: p1 p2\na2: p1 p9\n[programs]\n"
+                        "p1 cost=0: a1 a2\np2 cost=0:\n").value
+    assert str(err) == "agent a2 references undeclared program p9"
+    # an otherwise mutual market that fails only on the program side
+    err = pytest.raises(ParseError, parse_instance,
+                        "smfq 1\n[agents]\na1: p1\n[programs]\np1 cost=0: a1 a9\n").value
+    assert str(err) == "program p1 references undeclared agent a9"
 
 
 def test_structural_validation_still_applies():
@@ -294,6 +406,10 @@ def test_structural_validation_still_applies():
             "p1 cost=0: a1\np2 cost=0: a1\n")
     with pytest.raises(NonMutualEdge):
         parse_instance(text)
+    # and p1 never lists a2 back
+    err = pytest.raises(NonMutualEdge, parse_instance,
+                        "smfq 1\n[agents]\na1: p1\na2: p1\n[programs]\np1 cost=0: a1\n").value
+    assert str(err) == "agent a2 lists p1, but p1 does not list a2"
 
 
 # ---------------------------------------------------------------------------
