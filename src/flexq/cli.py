@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .approx import (_via_minmax_report, approx_promote, approx_restrict,
@@ -281,6 +282,11 @@ def cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # A command builds and holds a cycle-free market, so the cyclic
+    # collector's passes, triggered by container allocations alone, would
+    # find nothing; reference counting frees everything as before.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except (ParseError, ValidationError, ValueError, OSError) as exc:
@@ -295,6 +301,9 @@ def cli(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -89,13 +89,18 @@ def _merge(ctx: ExtensionContext, extra: dict[str, str]) -> Matching:
 
 
 def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInstance:
-    """The extension graph as a standalone cost market for the round-two solvers;
-    its first program in round-one order without a price raises :class:`ValidationError`."""
-    adj = ctx.g_m
+    """The extension graph as a standalone cost market for the round-two solvers.
+
+    Each program lists the agents whose graph edges reach it, in its round-one
+    order.  Its first program in round-one order without a price raises
+    :class:`ValidationError`."""
+    adj, prank = ctx.g_m, ctx.round1.prank
     agents = ctx.a_u_matchable
-    onlist = {a: set(adj[a]) for a in agents}
-    in_graph = set().union(*onlist.values())
-    programs = [p for p in ctx.round1.programs if p in in_graph]
+    takers: dict[str, list[str]] = {}  # each program's agents in the graph
+    for a in agents:
+        for p in adj[a]:
+            takers.setdefault(p, []).append(a)
+    programs = [p for p in ctx.round1.programs if p in takers]
     for p in programs:
         if p not in cost:
             raise ValidationError(f"missing round-two cost for program {p}")
@@ -103,10 +108,7 @@ def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInsta
         agents=agents,
         programs=programs,
         agent_pref={a: list(adj[a]) for a in agents},
-        program_pref={
-            p: [a for a in ctx.round1.program_pref[p] if a in onlist and p in onlist[a]]
-            for p in programs
-        },
+        program_pref={p: sorted(takers[p], key=prank[p].__getitem__) for p in programs},
         cost={p: cost[p] for p in programs},
     )
     validate(inst)

@@ -4,10 +4,11 @@ Agents propose down their lists; a full program keeps its best tentative
 roster and bounces the rest.  The outcome is the agent-optimal stable
 matching, and it does not depend on the order in which free agents propose.
 
-Each program holds its tentative roster in a max-heap keyed by its own rank
-of the agent, so the worst held agent is on top and a trade costs
-O(log q).  A run over preference lists of total length L takes
-O(L log q) time, where q is the largest quota.
+Each program holds its tentative roster as a max-heap of its own ranks of
+the held agents, negated ints that its preference list maps back to
+agents, so the worst held agent is on top and a trade costs O(log q) int
+comparisons and builds no object.  A run over preference lists of total
+length L takes O(L log q) time, where q is the largest quota.
 
 A finished run can be carried on to smaller quotas
 (:func:`resume_with_fewer_seats`): each roster is cut to its new seats and
@@ -31,18 +32,19 @@ class DaState:
     """Where a deferred-acceptance run stands.
 
     ``slots`` maps each program with seats to ``(roster heap, seats, rank
-    table)``; the heap holds ``(-rank, agent)``, so the worst tentative agent
-    sits on top.  ``nxt`` maps each agent to the index of its next proposal,
-    and ``proposals`` is their sum.  The rosters are the one record of who
-    holds whom; :meth:`matching` reads the matching off them.
+    table, preference list)``; the heap holds ``-rank`` for each held agent,
+    so the worst tentative agent sits on top, and the agent at rank r is
+    entry r of the list.  ``nxt`` maps each agent to the index of its next
+    proposal, and ``proposals`` is their sum.  The rosters are the one
+    record of who holds whom; :meth:`matching` reads the matching off them.
     """
 
-    slots: dict[str, tuple[list[tuple[int, str]], int, dict[str, int]]]
+    slots: dict[str, tuple[list[int], int, dict[str, int], list[str]]]
     nxt: dict[str, int]
     proposals: int = 0
 
     def matching(self, instance: SmfqInstance) -> Matching:
-        held = {a: p for p, (heap, _, _) in self.slots.items() for _, a in heap}
+        held = {lst[-r]: p for p, (heap, _, _, lst) in self.slots.items() for r in heap}
         return Matching({a: held[a] for a in instance.agents if a in held})
 
 
@@ -66,8 +68,9 @@ def gale_shapley_a_optimal(instance: SmfqInstance, quota: dict[str, int] | None 
 def deferred_acceptance_state(instance: SmfqInstance, quota: dict[str, int]) -> DaState:
     """Run deferred acceptance from scratch under the seat map ``quota`` and
     return its final state, which :func:`resume_with_fewer_seats` can carry on."""
-    prank = instance.prank
-    state = DaState({p: ([], quota[p], prank[p]) for p in instance.programs if quota.get(p, 0) >= 1},
+    prank, ppref = instance.prank, instance.program_pref
+    state = DaState({p: ([], quota[p], prank[p], ppref[p])
+                     for p in instance.programs if quota.get(p, 0) >= 1},
                     dict.fromkeys(instance.agents, 0))
     free = deque(instance.agents)
     while _propose(instance.agent_pref, state, free) is not None:
@@ -88,15 +91,15 @@ def resume_with_fewer_seats(instance: SmfqInstance, state: DaState,
     """
     slots = {}
     free: deque[str] = deque()
-    for p, (heap, _, ranks) in state.slots.items():
+    for p, (heap, _, ranks, lst) in state.slots.items():
         seats = quota.get(p, 0)
         if seats == 0:  # left out: everyone it holds leaves
-            free.extend(a for _, a in heap)
+            free.extend(lst[-r] for r in heap)
             continue
         heap = heap[:]
         while len(heap) > seats:
-            free.append(heappop(heap)[1])
-        slots[p] = (heap, seats, ranks)
+            free.append(lst[-heappop(heap)])
+        slots[p] = (heap, seats, ranks, lst)
     out = DaState(slots, dict(state.nxt), state.proposals)
     return out, _propose(instance.agent_pref, out, free)
 
@@ -105,9 +108,9 @@ def _propose(pref: dict[str, list[str]], state: DaState, free: deque[str]) -> st
     """Let the free agents propose on from ``state.nxt`` until nobody is free.
 
     This is the package's one proposal loop.  An acceptance pushes the
-    proposer onto the program's roster heap and an eviction sends the agent
-    popped off its top back to ``free``; nothing else is updated.  Returns
-    None once ``free`` is empty.  If an agent's list runs out first, the run
+    proposer's rank onto the program's roster heap and an eviction sends the
+    agent at the rank popped off its top back to ``free``; nothing else is
+    updated.  Returns None once ``free`` is empty.  If an agent's list runs out first, the run
     stops and returns that agent, now unmatched and out of ``free``; a
     further call carries on with the rest.  Every list entry an agent passes
     advances its ``nxt`` and ``state.proposals``, including entries skipped
@@ -124,14 +127,14 @@ def _propose(pref: dict[str, list[str]], state: DaState, free: deque[str]) -> st
             slot = slots.get(p)
             if slot is None:
                 continue  # p has no seats
-            heap, seats, ranks = slot
+            heap, seats, ranks, by_rank = slot
             r = ranks[a]
             if len(heap) < seats:
-                heappush(heap, (-r, a))
+                heappush(heap, -r)
                 break
-            if r < -heap[0][0]:
+            if r < -heap[0]:
                 # p trades its worst tentative agent for the proposer
-                free.append(heapreplace(heap, (-r, a))[1])
+                free.append(by_rank[-heapreplace(heap, -r)])
                 break
         else:
             nxt[a] = i

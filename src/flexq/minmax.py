@@ -57,7 +57,7 @@ def solve_minmax(instance: SmfqInstance) -> SolveReport:
     # the smallest threshold known feasible
     state = deferred_acceptance_state(instance, build_quota_instance(
         instance, len(instance.agents) * max(instance.cost.values(), default=0)))
-    lo, hi = 0, max((len(h) * instance.cost[p] for p, (h, _, _) in state.slots.items()), default=0)
+    lo, hi = 0, max((len(h) * instance.cost[p] for p, (h, *_) in state.slots.items()), default=0)
     proposals = state.proposals
     probes = 0
     while lo < hi:

@@ -10,10 +10,12 @@ A search node is one int per agent, a mask over positions on the agent's
 own list (bit j set while its j-th program is still available); the search
 fixes one agent's level per step, depth first.  Fixing a level only removes
 edges, so an agent isolated by a partial choice cuts its whole subtree.  A
-child re-prunes only from the agents whose top choice moved and adds to its
-parent's bound only the change over the agents whose masks changed, so a
-node costs what changed rather than the whole market.  The tuple count, the
-product of per-agent level counts, is budget-guarded unless forced.
+child re-prunes only from the agents whose top choice moved, and a node
+carries every agent's cheapest level, so a child recomputes it and its
+bound only over the agents whose masks changed: a node costs what changed
+rather than the whole market.  A level already priced out by the bound is
+not expanded at all.  The tuple count, the product of per-agent level
+counts, is budget-guarded unless forced.
 """
 
 from __future__ import annotations
@@ -75,8 +77,11 @@ def solve_minsum_exact(
     agent if its top choice moved; an isolated agent cuts the child.  Its
     bound, the sum over all agents of the cheapest level left in their mask,
     is the parent's plus the change over the masks that changed, and it is
-    exact at a leaf, where every agent takes its lowest set bit.  The limit
-    starts one above the spend of the cheaper of :func:`approx_promote` and
+    exact at a leaf, where every agent takes its lowest set bit.  A level
+    whose cost plus the other agents' cheapest levels already reaches the
+    limit is skipped before its mask is copied: pruning only raises levels,
+    so that child would be cut anyway.  The limit starts one above the
+    spend of the cheaper of :func:`approx_promote` and
     :func:`approx_restrict`; nodes whose bound reaches the limit are cut, and
     an accepted leaf lowers the limit to its spend.  Leaves are met in
     ascending lexicographic tuple order and must be strictly cheaper than
@@ -114,10 +119,12 @@ def solve_minsum_exact(
     best: dict[str, str] | None = None
     nodes = leaves = 0
     root = [(1 << len(pref[a])) - 1 for a in agents]
-    stack = [] if _prune(root, ahead, list(range(len(agents)))) is None else \
-        [(0, root, sum(map(cheapest, range(len(agents)), root)))]
+    stack = []
+    if _prune(root, ahead, list(range(len(agents)))) is not None:
+        floor = list(map(cheapest, range(len(agents)), root))
+        stack.append((0, root, floor, sum(floor)))
     while stack:
-        depth, masks, lb = stack.pop()
+        depth, masks, floor, lb = stack.pop()
         if lb >= limit:
             continue
         nodes += 1
@@ -129,13 +136,18 @@ def solve_minsum_exact(
             best, limit = assignment, lb
             continue
         i, lv = branch[depth]
-        for lm in [lm for _, lm in lv if masks[i] & lm][::-1]:  # popped in ascending order
-            child = masks[:]
+        rest = lb - floor[i]  # a child's bound is at least rest plus its level's cost
+        for c, lm in [(c, lm) for c, lm in lv if masks[i] & lm and rest + c < limit][::-1]:
+            child = masks[:]  # pushed in descending order, so popped in ascending order
             child[i] &= lm
             touched = _prune(child, ahead, [] if child[i] & masks[i] & -masks[i] else [i])
             if touched is not None:
-                stack.append((depth + 1, child, lb + sum(
-                    cheapest(x, child[x]) - cheapest(x, masks[x]) for x in touched | {i})))
+                low = floor[:]
+                low[i] = c
+                for x in touched:
+                    low[x] = cheapest(x, child[x])
+                stack.append((depth + 1, child, low,
+                              lb + sum(low[x] - floor[x] for x in touched | {i})))
 
     if best is None:
         raise AssertionError("no cost tuple beats the approximations' spend")

@@ -39,25 +39,31 @@ def oracle_optima(instance: SmfqInstance, budget: int | None = None,
     # down p's list gives over: the seats of agents ranked above a at p that
     # they like less than p (from there they would envy a).  One up gives
     # under: the p-seats of agents ranked below a, whom a envies from any seat
-    # it likes less than p; it runs from the top seat that reads it down
+    # it likes less than p.  Under is kept only for a seat with later seats on
+    # its agent's list (they read it), and a mask is only ever tested against
+    # agents placed before its own agent, so the OR up takes a seat only when
+    # its bit lies below the base of some such agent above it on p's list
     base, nbits = {}, 0
     for a in agents:
         base[a], nbits = nbits, nbits + len(pref[a])
     over, under = [0] * nbits, [0] * nbits
     for p, roster in instance.program_pref.items():
-        run = lo = 0
+        run = cap = 0
+        caps = []  # per roster entry: the largest base of such an agent above it
         for b in roster:
             s, end = base[b] + arank[b][p], base[b] + len(pref[b])
             over[s] = run
+            caps.append(cap)
             if s + 1 < end:
                 run |= (1 << end) - (1 << s + 1)
-            lo += not run
+                cap = max(cap, base[b])
         run = 0
-        for b in reversed(roster[lo:]):
+        for b, cap in zip(reversed(roster), reversed(caps)):
             s = base[b] + arank[b][p]
             if s + 1 < base[b] + len(pref[b]):
                 under[s] = run
-            run |= 1 << s
+            if s < cap:
+                run |= 1 << s
     # choices[i]: agent i's (program, its index, cost, seat, over | the unders of the
     # seats above it); an OR that would add nothing keeps the one object
     index = {p: j for j, p in enumerate(instance.programs)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import hashlib
 import importlib.util
 import os
@@ -20,6 +21,7 @@ from flexq import (
     gen_example1,
     gen_fig1,
     gen_fig2,
+    gen_random_hr,
     parse_instance,
     parse_set_cover,
     reduce_set_cover,
@@ -193,6 +195,17 @@ def test_extend_cost_honours_the_budget_flags(capsys, fig1_g):
     assert code == 0 and "# objective=3" in out
 
 
+def test_extend_deviation_on_a_5000_agent_market_is_pinned(capsys, tmp_path):
+    # round one, the extension graph and the max-spend search at the benchmark's size;
+    # its stdout must not move with speedups
+    path = tmp_path / "big.hr"
+    path.write_text(serialize_instance(gen_random_hr(5000, 150, 10, 9, 40, 1)))
+    code, out, _ = run(capsys, "extend", str(path), "--objective", "deviation")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "cce47a5041b4cde72e7ad8c1b2515cf0fc8ccbe826baddb05d5e6d2827fedc33")
+
+
 def test_extend_requires_a_quota_instance(capsys, fig1_h):
     code, _, err = run(capsys, "extend", fig1_h, "--objective", "deviation")
     assert code == 2
@@ -316,6 +329,60 @@ def test_commands_look_solvers_up_at_call_time(capsys, fig1_h, monkeypatch):
     assert code == 0
     assert "# objective=4" in out
     assert len(calls) == 1
+
+
+@pytest.fixture()
+def collector():
+    """Leave the cyclic collector as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def test_commands_run_with_the_collector_off_and_restore_its_state(capsys, fig1_h, tmp_path,
+                                                                   monkeypatch, collector):
+    seen = []
+    real = flexq.cli.solve_minmax
+
+    def spy(instance):
+        seen.append(gc.isenabled())
+        return real(instance)
+    monkeypatch.setattr("flexq.cli.solve_minmax", spy)
+    absent = str(tmp_path / "absent.smfq")
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        for path, code in ((fig1_h, 0), (absent, 2)):
+            assert run(capsys, "solve", "minmax", path)[0] == code
+            assert gc.isenabled() is enabled, (enabled, path)
+    assert seen == [False, False]
+
+
+def test_no_command_leaves_cyclic_garbage(capsys, fig1_h, fig1_g, tmp_path, collector):
+    # with the collector off a reference cycle would outlive its command, so none may be made
+    matching = tmp_path / "fig1H.out"
+    cover = tmp_path / "cover.sc"
+    cover.write_text("elements 3\nset s1: e1 e2\nset s2: e2 e3\nset s3: e1 e3\n")
+    commands = [("solve", "minmax", fig1_h)]
+    commands += [("solve", "minsum", f"--method={m}", fig1_h)
+                 for m in ("exact", "promote", "restrict", "minmax")]
+    commands += [("check", fig1_h, "--matching", str(matching)),
+                 ("oracle", "minsum", fig1_h), ("oracle", "minmax", fig1_h),
+                 ("extend", fig1_g, "--objective", "deviation"),
+                 ("extend", fig1_g, "--objective", "cost"),
+                 ("gen", "fig1", "--variant", "hr"), ("gen", "fig2", "--n", "4"),
+                 ("gen", "random", "--agents", "30", "--programs", "6", "--list-len", "3",
+                  "--cost-max", "9", "--seed", "1"),
+                 ("gen", "setcover", str(cover)),
+                 ("bench", "--suite", "small", "--seeds", "50")]
+    gc.collect()
+    gc.disable()
+    for argv in commands:
+        code = cli(list(argv))
+        found = gc.collect()
+        out = capsys.readouterr().out
+        if argv[:2] == ("solve", "minmax"):
+            matching.write_text(out)
+        assert (code, found) == (0, 0), argv
 
 
 def test_every_exported_name_resolves():
