@@ -70,6 +70,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         report = solve_minmax(instance)
     elif args.method == "exact":
         report = solve_minsum_exact(instance, budget=args.budget, force=args.force)
+    elif args.budget is not None or args.force:
+        check_budget(0, args.budget, args.force, "cost tuples")  # a negative budget is refused as anywhere
+        raise ValueError(f"--budget and --force bound no search with --method {args.method}")
     elif args.method == "promote":
         report = approx_promote(instance)
     elif args.method == "restrict":
@@ -108,9 +111,11 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         check_budget(0, args.budget, args.force, "cost tuples")  # a negative budget is refused as anywhere
         if args.budget is not None or args.force:
             raise ValueError("--budget and --force bound no search with --objective deviation")
+        if args.costs is not None:
+            raise ValueError("--costs prices round two only with --objective cost")
         report = min_deviation_extension(ctx)
     else:
-        costs = parse_cost_file(_read(args.costs)) if args.costs else dict(instance.cost)
+        costs = parse_cost_file(_read(args.costs)) if args.costs is not None else dict(instance.cost)
         report = min_cost_extension(ctx, costs, budget=args.budget, force=args.force)
     return _emit_report(instance, report)
 

@@ -28,6 +28,30 @@ from .errors import (
 )
 
 
+class _RankTable:
+    """A rank table built on first read and then kept as a plain attribute.
+
+    The built table is stored with ``setattr``; this descriptor defines no
+    ``__set__``, so later reads find the instance attribute and never call it.
+    ``functools.cached_property`` does the same through ``instance.__dict__``
+    and, before Python 3.12, a lock; on the small-market benchmark's requests
+    that was slower than building both tables eagerly, and this is not.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        table = self.build(instance)
+        setattr(instance, self.name, table)
+        return table
+
+
 @dataclass
 class SmfqInstance:
     """A two-sided market with per-program costs and no quotas.
@@ -39,7 +63,11 @@ class SmfqInstance:
     missing list is ``[]``, a missing cost 0, undeclared keys are dropped.
     The rank tables ``arank[a][p]`` and ``prank[p][a]`` give a name's
     position on the other side's list (0 = most preferred; absent = not
-    listed).  Instances are treated as immutable values once constructed.
+    listed).  Each is built from the normalized lists on first read and kept
+    on the instance; :func:`validate` reads both, while generating,
+    serializing and ``dataclasses.replace`` read neither, so they build none.
+    Equality and ``repr`` ignore them.  Instances are treated as immutable
+    values once constructed.
     """
 
     agents: list[str]
@@ -48,16 +76,19 @@ class SmfqInstance:
     program_pref: dict[str, list[str]]
     cost: dict[str, int] = field(default_factory=dict)
 
-    arank: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False, default_factory=dict)
-    prank: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False, default_factory=dict)
-
     def __post_init__(self):
         alists, plists = self.agent_pref, self.program_pref
         self.agent_pref = {a: alists.get(a, []) for a in self.agents}
         self.program_pref = {p: plists.get(p, []) for p in self.programs}
         self.cost = {p: self.cost.get(p, 0) for p in self.programs}
-        self.arank = {a: {p: i for i, p in enumerate(lst)} for a, lst in self.agent_pref.items()}
-        self.prank = {p: {a: i for i, a in enumerate(lst)} for p, lst in self.program_pref.items()}
+
+    @_RankTable
+    def arank(self) -> dict[str, dict[str, int]]:
+        return {a: {p: i for i, p in enumerate(lst)} for a, lst in self.agent_pref.items()}
+
+    @_RankTable
+    def prank(self) -> dict[str, dict[str, int]]:
+        return {p: {a: i for i, a in enumerate(lst)} for p, lst in self.program_pref.items()}
 
     def is_acceptable(self, agent: str, program: str) -> bool:
         return program in self.arank.get(agent, ())

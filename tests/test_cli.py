@@ -150,6 +150,34 @@ def test_extend_deviation_refuses_budget_and_force(capsys, fig1_g):
         assert err.count("error:") == 1 and "--budget" in err and "--force" in err, flags
 
 
+def test_extend_deviation_refuses_a_cost_file(capsys, fig1_g, tmp_path):
+    # the deviation objective prices nothing, so a cost file is refused unread
+    prices = tmp_path / "round2.costs"
+    prices.write_text("p1 5\np2 1\n")
+    for path in (str(prices), "/nonexistent/round2.costs"):
+        code, out, err = run(capsys, "extend", fig1_g, "--objective", "deviation", "--costs", path)
+        assert (code, out) == (2, ""), path
+        assert err.count("error:") == 1 and "--costs" in err, path
+    # the budget checks come first and keep their messages
+    code, _, err = run(capsys, "extend", fig1_g, "--objective", "deviation",
+                       "--costs", str(prices), "--budget", "-1")
+    assert code == 2 and "non-negative" in err and err.count("error:") == 1
+    code, _, err = run(capsys, "extend", fig1_g, "--objective", "deviation",
+                       "--costs", str(prices), "--force")
+    assert code == 2 and "--force" in err and "--costs" not in err
+
+
+def test_polynomial_methods_refuse_budget_and_force(capsys, fig1_h):
+    # only the exact method runs a budgeted search
+    for method in ("promote", "restrict", "minmax"):
+        for flags in (("--budget", "0"), ("--budget", "5"), ("--force",), ("--budget", "5", "--force")):
+            code, out, err = run(capsys, "solve", "minsum", "--method", method, *flags, fig1_h)
+            assert (code, out) == (2, ""), (method, flags)
+            assert err.count("error:") == 1 and "--budget" in err and "--force" in err, (method, flags)
+    code, out, _ = run(capsys, "solve", "minsum", "--method", "exact", "--budget", "5", "--force", fig1_h)
+    assert code == 0 and "# objective=7" in out
+
+
 def test_budget_exit_code(capsys, fig1_h):
     code, _, err = run(capsys, "oracle", "minsum", "--budget", "3", fig1_h)
     assert code == 3
@@ -183,6 +211,9 @@ def test_extend_cost_with_a_price_file(capsys, fig1_g, tmp_path):
     assert code == 0
     assert "# objective=2" in out
     assert "a3 -> p2" in out
+    # an empty path names no file; it does not fall back to the instance's prices
+    code, out, err = run(capsys, "extend", fig1_g, "--objective", "cost", "--costs", "")
+    assert (code, out) == (2, "") and err.count("error:") == 1
 
 
 def test_extend_cost_honours_the_budget_flags(capsys, fig1_g):
@@ -262,6 +293,10 @@ def test_negative_counts_exit_2(capsys, fig1_h, fig1_g, tmp_path):
     assert code == 2 and "non-negative" in err and err.count("error:") == 1
     code, _, err = run(capsys, "bench", "--suite", "small", "--seeds", "-5")
     assert code == 2 and "non-negative" in err
+    # the polynomial methods search nothing, but refuse a negative budget with the same message
+    for method in ("promote", "restrict", "minmax"):
+        code, out, err = run(capsys, "solve", "minsum", "--method", method, "--budget", "-1", fig1_h)
+        assert (code, out) == (2, "") and "non-negative" in err and err.count("error:") == 1, method
 
 
 def test_gen_parameter_errors_exit_2(capsys):

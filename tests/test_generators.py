@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from flexq import (
     oracle_minsum,
     reduce_set_cover,
     reduce_vertex_cover,
+    serialize_instance,
     validate,
 )
 
@@ -231,6 +233,26 @@ def test_random_quota_markets_are_valid():
         assert all(1 <= q <= 3 for q in inst.quota.values())
     assert gen_random_hr(5, 4, 3, 7, quota_max=3, seed=11) == \
         gen_random_hr(5, 4, 3, 7, quota_max=3, seed=11)
+
+
+def test_generated_bytes_are_pinned():
+    # the serialized markets must not move when construction gets cheaper; the
+    # graph is the Petersen graph, outer cycle v0..v4 and inner star v5..v9
+    outer = [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]
+    spokes = [(f"v{i}", f"v{i + 5}") for i in range(5)]
+    inner = [(f"v{5 + i}", f"v{5 + (i + 2) % 5}") for i in (0, 2, 4, 1, 3)]
+    petersen = GraphInstance(vertices=[f"v{i}" for i in range(10)], edges=outer + spokes + inner)
+    for inst, digest in (
+        (gen_random(500, 30, 6, 9, 1),
+         "150532d091dd54788b6eb4f57e3ef3df2c5a3c0c3ac43599604967a400f275f8"),
+        (gen_master_list(500, 30, 6, 9, 1),
+         "41fe8b4f6194d0748e2d7b0e414e5bc77ee44d514cb024915beab06d279b89e8"),
+        (gen_random_hr(500, 30, 6, 9, 10, 1),
+         "f9975e20dec7900d4bc6e54ff43593582c0730508db51cd711e684ff48192531"),
+        (reduce_vertex_cover(petersen),
+         "f0f0d6b68ad1928581bc448f249c0c3a1d2e30505034f89f87c2d37aa698f63c"),
+    ):
+        assert hashlib.sha256(serialize_instance(inst).encode("utf-8")).hexdigest() == digest
 
 
 def test_sweep_families_stay_inside_their_advertised_bounds():

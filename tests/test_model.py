@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -17,15 +18,20 @@ from flexq import (
     NegativeCost,
     NonMutualEdge,
     QuotaViolated,
+    SetCoverInstance,
     SmfqInstance,
     ZeroQuota,
     bench_instance,
     gen_fig1,
     gen_random,
+    gen_random_hr,
     is_a_perfect,
     is_envy_free,
     is_hr_stable,
     max_cost,
+    parse_instance,
+    reduce_set_cover,
+    serialize_instance,
     solve_minsum_exact,
     total_cost,
     validate,
@@ -149,6 +155,65 @@ def test_rank_lookups_follow_list_positions():
     assert inst.prank["p2"] == {"a2": 0, "a1": 1}
     assert inst.is_acceptable("a1", "p2")
     assert not inst.is_acceptable("a2", "p1")
+
+
+def _enumerated(lists: dict[str, list[str]]) -> dict[str, dict[str, int]]:
+    """The rank tables built independently, one entry at a time."""
+    out: dict[str, dict[str, int]] = {}
+    for key, lst in lists.items():
+        out[key] = {}
+        for i, name in enumerate(lst):
+            out[key][name] = i
+    return out
+
+
+def _fresh_instances():
+    cover = SetCoverInstance(sets={"s1": ["e1"], "s2": ["e1", "e2"], "s3": ["e2"]},
+                             elements=["e1", "e2"], f=2)
+    return [
+        tiny(),
+        *gen_fig1(),  # an HrInstance and an SmfqInstance
+        gen_random(40, 8, 3, 9, 1),
+        gen_random_hr(40, 8, 3, 9, 4, 1),
+        reduce_set_cover(cover),
+    ]
+
+
+def test_rank_tables_are_built_on_first_read_and_kept():
+    for inst in _fresh_instances():
+        assert "arank" not in vars(inst) and "prank" not in vars(inst), type(inst)
+        arank, prank = inst.arank, inst.prank
+        assert arank == _enumerated(inst.agent_pref)
+        assert prank == _enumerated(inst.program_pref)
+        assert inst.arank is arank and inst.prank is prank
+
+
+def test_equality_and_repr_ignore_the_rank_tables():
+    built, fresh = tiny(), tiny()
+    text = repr(fresh)
+    validate(built)
+    assert "arank" in vars(built) and "arank" not in vars(fresh)
+    assert built == fresh and repr(built) == text
+    assert "arank" not in text and "prank" not in text
+
+
+def test_a_replaced_copy_gets_fresh_rank_tables():
+    inst = tiny()
+    validate(inst)
+    swapped = dataclasses.replace(inst, agents=["a2", "a1"],
+                                  program_pref={"p1": ["a1"], "p2": ["a1", "a2"]})
+    assert "arank" not in vars(swapped) and "prank" not in vars(swapped)
+    assert swapped.prank["p2"] == {"a1": 0, "a2": 1} != inst.prank["p2"]
+    assert list(swapped.arank) == ["a2", "a1"]
+    assert inst.prank["p2"] == {"a2": 0, "a1": 1}
+
+
+def test_a_parsed_instance_carries_both_rank_tables():
+    for inst in (tiny(), gen_fig1()[0]):
+        parsed = parse_instance(serialize_instance(inst))
+        assert "arank" in vars(parsed) and "prank" in vars(parsed)
+        assert parsed.arank == _enumerated(parsed.agent_pref)
+        assert parsed.prank == _enumerated(parsed.program_pref)
 
 
 # ---------------------------------------------------------------------------
