@@ -1,23 +1,24 @@
 """Work budget shared by the exhaustive solver and the enumeration oracle.
 
-Exhaustive routines refuse to start when the number of candidates they would
-visit exceeds the budget, unless the caller forces them.  A budget of None
-means :data:`DEFAULT_BUDGET`.
+An exhaustive routine counts the search nodes it expands and raises
+:class:`BudgetExceeded` as soon as the count passes the budget, unless the
+caller forces it.  A budget of None means :data:`DEFAULT_BUDGET`.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10_000_000
 
 
-def check_budget(count: int, budget: int | None, force: bool, what: str) -> None:
-    """Raise :class:`BudgetExceeded` when ``count`` candidates (``what``, e.g.
-    "cost tuples") top ``budget``, unless ``force`` is set.  A negative budget
-    raises ValueError."""
+def node_budget(budget: int | None, force: bool) -> tuple[float, BudgetExceeded]:
+    """The most nodes a search may expand (no limit if ``force`` is set) and the
+    error to raise on one more.  A negative budget raises ValueError, forced or not."""
     limit = DEFAULT_BUDGET if budget is None else int(budget)
     if limit < 0:
         raise ValueError(f"the budget must be non-negative, got {limit}")
-    if count > limit and not force:
-        raise BudgetExceeded(f"{count} {what} exceed the budget of {limit}")
+    return (math.inf if force else limit), BudgetExceeded(
+        f"the search needs more than the budget of {limit} nodes")

@@ -13,7 +13,7 @@ Subcommands::
 Solver output is a matching file (one ``agent -> program`` line per agent,
 in instance order) followed by ``# objective=``, ``# method=``, and
 ``# certified=`` trailers.  Exit codes: 0 success, 2 parse or validation
-error, 3 resources exhausted (search budget exceeded or ``MemoryError``), 4
+error, 3 resources exhausted (search node budget exceeded or ``MemoryError``), 4
 internal invariant violation (including ``RecursionError``: no code path
 recurses with the input size).  Failures print one ``error:`` line to stderr,
 never a traceback.  Identical argv and file contents produce byte-identical
@@ -29,7 +29,7 @@ import sys
 
 from .approx import (_via_minmax_report, approx_promote, approx_restrict,
                      approx_via_minmax, lower_bound_sum)
-from .budget import check_budget
+from .budget import node_budget
 from .errors import BudgetExceeded, ParseError, ValidationError
 from .extension import compute_extendable, min_cost_extension, min_deviation_extension
 from .fileio import (format_matching, parse_cost_file, parse_graph,
@@ -71,7 +71,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.method == "exact":
         report = solve_minsum_exact(instance, budget=args.budget, force=args.force)
     elif args.budget is not None or args.force:
-        check_budget(0, args.budget, args.force, "cost tuples")  # a negative budget is refused as anywhere
+        node_budget(args.budget, args.force)  # a negative budget is refused as anywhere
         raise ValueError(f"--budget and --force bound no search with --method {args.method}")
     elif args.method == "promote":
         report = approx_promote(instance)
@@ -108,7 +108,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     round1 = gale_shapley_a_optimal(instance)
     ctx = compute_extendable(instance, round1)
     if args.objective == "deviation":
-        check_budget(0, args.budget, args.force, "cost tuples")  # a negative budget is refused as anywhere
+        node_budget(args.budget, args.force)  # a negative budget is refused as anywhere
         if args.budget is not None or args.force:
             raise ValueError("--budget and --force bound no search with --objective deviation")
         if args.costs is not None:
@@ -208,9 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=None,
-                       help="search-space cap (default 10^7)")
+                       help="most search nodes to expand (default 10^7)")
         p.add_argument("--force", action="store_true",
-                       help="run even when the search space exceeds the budget")
+                       help="search on past the node budget")
 
     p_solve = sub.add_parser("solve", help="compute a matching for one objective")
     solve_sub = p_solve.add_subparsers(dest="objective", required=True)

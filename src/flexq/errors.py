@@ -40,7 +40,7 @@ class NotStable(ValidationError):
 
 
 class BudgetExceeded(FlexqError):
-    """An exhaustive search would visit more candidates than the allowed budget."""
+    """An exhaustive search needed more nodes than its budget allows."""
 
 
 class ParseError(FlexqError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .budget import check_budget
+from .budget import node_budget
 from .errors import NotStable, ValidationError
 from .minmax import solve_minmax
 from .minsum import solve_minsum_exact
@@ -147,12 +147,12 @@ def min_cost_extension(ctx: ExtensionContext, prices: dict[str, int],
     :class:`ValidationError` at the first one missing and its validation
     :class:`NegativeCost` at the first bad one.
     ``budget`` and ``force`` go to the exact total-spend solver, which raises
-    :class:`BudgetExceeded` when the restricted market has too many cost
-    tuples; a negative budget raises ValueError even with nothing to place.
+    :class:`BudgetExceeded` past the budget's nodes; a negative budget raises
+    ValueError even with nothing to place.
     """
     if not ctx.a_u_matchable:
-        # skip the solver (it counts one tuple, which budget 0 refuses), not the sign check
-        check_budget(0, budget, force, "cost tuples")
+        # skip the solver (its root is one node, which budget 0 refuses), not the sign check
+        node_budget(budget, force)
         return SolveReport(_merge(ctx, {}), 0, "extend-cost", certified_optimal=True)
     rep = solve_minsum_exact(_restricted_market(ctx, dict(prices)), budget=budget, force=force)
     return SolveReport(_merge(ctx, rep.matching.assignment), rep.objective, "extend-cost",

@@ -223,6 +223,27 @@ def reduce_vertex_cover(g: GraphInstance) -> SmfqInstance:
     return SmfqInstance(agents, programs, agent_pref, program_pref, cost)
 
 
+def _random_ids(n_agents: int, n_programs: int, list_len: int, cost_max: int) -> tuple[list[str], list[str]]:
+    """A random market's agent and program ids, once its sizes and cost bound pass."""
+    if n_agents < 1 or n_programs < 1 or list_len < 1:
+        raise ValueError("sizes must be positive")
+    if list_len > n_programs:
+        raise ValueError("list_len cannot exceed n_programs")
+    if cost_max < 0:
+        raise ValueError("cost_max must be non-negative")
+    return [f"a{i}" for i in range(1, n_agents + 1)], [f"p{j}" for j in range(1, n_programs + 1)]
+
+
+def _listers(agents: list[str], programs: list[str],
+             agent_pref: dict[str, list[str]]) -> dict[str, list[str]]:
+    """Each program's listing agents, in agent order."""
+    listers: dict[str, list[str]] = {p: [] for p in programs}
+    for a in agents:
+        for p in agent_pref[a]:
+            listers[p].append(a)
+    return listers
+
+
 def gen_random(n_agents: int, n_programs: int, list_len: int, cost_max: int, seed: int) -> SmfqInstance:
     """A seeded random market: every agent samples ``list_len`` programs.
 
@@ -231,20 +252,10 @@ def gen_random(n_agents: int, n_programs: int, list_len: int, cost_max: int, see
     ``list_len == n_programs`` all agent lists are complete.  Identical
     arguments always produce identical instances.
     """
-    if n_agents < 1 or n_programs < 1 or list_len < 1:
-        raise ValueError("sizes must be positive")
-    if list_len > n_programs:
-        raise ValueError("list_len cannot exceed n_programs")
-    if cost_max < 0:
-        raise ValueError("cost_max must be non-negative")
+    agents, programs = _random_ids(n_agents, n_programs, list_len, cost_max)
     rng = random.Random(seed)
-    agents = [f"a{i}" for i in range(1, n_agents + 1)]
-    programs = [f"p{j}" for j in range(1, n_programs + 1)]
     agent_pref = {a: rng.sample(programs, list_len) for a in agents}
-    listers: dict[str, list[str]] = {p: [] for p in programs}
-    for a in agents:
-        for p in agent_pref[a]:
-            listers[p].append(a)
+    listers = _listers(agents, programs, agent_pref)
     for p in programs:
         rng.shuffle(listers[p])
     cost = {p: rng.randint(0, cost_max) for p in programs}
@@ -258,15 +269,8 @@ def gen_master_list(n_agents: int, n_programs: int, list_len: int, cost_max: int
     preference list is the induced sublist, so any two lists on the same side
     rank their common entries identically.
     """
-    if n_agents < 1 or n_programs < 1 or list_len < 1:
-        raise ValueError("sizes must be positive")
-    if list_len > n_programs:
-        raise ValueError("list_len cannot exceed n_programs")
-    if cost_max < 0:
-        raise ValueError("cost_max must be non-negative")
+    agents, programs = _random_ids(n_agents, n_programs, list_len, cost_max)
     rng = random.Random(seed)
-    agents = [f"a{i}" for i in range(1, n_agents + 1)]
-    programs = [f"p{j}" for j in range(1, n_programs + 1)]
     master_a = list(agents)
     rng.shuffle(master_a)
     master_p = list(programs)
@@ -274,10 +278,7 @@ def gen_master_list(n_agents: int, n_programs: int, list_len: int, cost_max: int
     apos = {a: i for i, a in enumerate(master_a)}
     ppos = {p: i for i, p in enumerate(master_p)}
     agent_pref = {a: sorted(rng.sample(programs, list_len), key=ppos.__getitem__) for a in agents}
-    listers: dict[str, list[str]] = {p: [] for p in programs}
-    for a in agents:
-        for p in agent_pref[a]:
-            listers[p].append(a)
+    listers = _listers(agents, programs, agent_pref)
     program_pref = {p: sorted(listers[p], key=apos.__getitem__) for p in programs}
     cost = {p: rng.randint(0, cost_max) for p in programs}
     return SmfqInstance(agents, programs, agent_pref, program_pref, cost)

@@ -14,16 +14,13 @@ child re-prunes only from the agents whose top choice moved, and a node
 carries every agent's cheapest level, so a child recomputes it and its
 bound only over the agents whose masks changed: a node costs what changed
 rather than the whole market.  A level already priced out by the bound is
-not expanded at all.  The tuple count, the product of per-agent level
-counts, is budget-guarded unless forced.
+not expanded at all.  The nodes expanded are budget-guarded unless forced.
 """
 
 from __future__ import annotations
 
-import math
-
 from .approx import approx_promote, approx_restrict
-from .budget import check_budget
+from .budget import node_budget
 from .model import Matching, SmfqInstance, SolveReport, is_envy_free
 
 
@@ -86,15 +83,12 @@ def solve_minsum_exact(
     an accepted leaf lowers the limit to its spend.  Leaves are met in
     ascending lexicographic tuple order and must be strictly cheaper than
     the limit, so the first optimal tuple wins and the result is
-    deterministic.  Raises :class:`BudgetExceeded` when the tuple count tops
-    the budget, unless ``force`` is set.  ``stats`` holds ``tuples`` (the
-    product), ``nodes`` (search nodes expanded, leaves included) and
-    ``leaves`` (leaves checked for envy).
+    deterministic.  Raises :class:`BudgetExceeded` on expanding one node more
+    than the budget, unless ``force`` is set.  ``stats`` holds ``nodes``
+    (search nodes expanded, leaves included) and ``leaves`` (leaves checked
+    for envy).
     """
-    cost_sets = distinct_costs_per_agent(instance)
-    tuples = math.prod(len(s) for s in cost_sets)
-    check_budget(tuples, budget, force, "cost tuples")
-
+    max_nodes, over_budget = node_budget(budget, force)
     agents = instance.agents
     pref = instance.agent_pref
     index = {a: i for i, a in enumerate(agents)}
@@ -103,7 +97,7 @@ def solve_minsum_exact(
     ahead = [[(pairs[p], instance.prank[p][a] + 1) for p in pref[a]] for a in agents]
     # per agent, each cost level ascending with the mask of its list positions
     levels = []
-    for a, costs in zip(agents, cost_sets):
+    for a, costs in zip(agents, distinct_costs_per_agent(instance)):
         level_masks = dict.fromkeys(costs, 0)
         for j, p in enumerate(pref[a]):
             level_masks[instance.cost[p]] |= 1 << j
@@ -128,6 +122,8 @@ def solve_minsum_exact(
         if lb >= limit:
             continue
         nodes += 1
+        if nodes > max_nodes:
+            raise over_budget
         if depth == len(branch):
             leaves += 1
             assignment = {a: pref[a][(m & -m).bit_length() - 1] for a, m in zip(agents, masks)}
@@ -152,4 +148,4 @@ def solve_minsum_exact(
     if best is None:
         raise AssertionError("no cost tuple beats the approximations' spend")
     return SolveReport(Matching(best), limit, "minsum-exact", certified_optimal=True,
-                       stats={"tuples": tuples, "nodes": nodes, "leaves": leaves})
+                       stats={"nodes": nodes, "leaves": leaves})

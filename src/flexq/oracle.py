@@ -5,8 +5,8 @@ ones.  They are the ground truth the clever solvers are tested against, so
 they stay deliberately independent of the solver code paths: all they share
 with the solvers is the instance accessors.
 
-One function, :func:`oracle_optima`, checks the budget and walks every
-envy-free assignment depth-first once, scoring each full one for total and
+One function, :func:`oracle_optima`, walks every envy-free assignment
+depth-first once, within the budget, scoring each full one for total and
 for largest spend.  Each seat (an agent at one program on its list) has a
 bit and a precomputed conflict mask: the seats of other agents that would be
 in envy with it.  Envy is a relation between two placed agents, and a placed
@@ -18,9 +18,7 @@ spends are undone on backtrack, so a full assignment is scored in O(1).
 
 from __future__ import annotations
 
-import math
-
-from .budget import check_budget
+from .budget import node_budget
 from .model import Matching, SmfqInstance, SolveReport
 
 
@@ -29,12 +27,13 @@ def oracle_optima(instance: SmfqInstance, budget: int | None = None,
     """The first full stable assignments of least total and of least largest
     spend, as the (minsum, minmax) reports of one walk.
 
-    Checks the budget on the full assignment product before any work, then
-    walks agents in instance order, each over its list in preference order.
+    Walks agents in instance order, each over its list in preference order.
     Only a strict improvement is copied, so the first optimum of each wins.
+    The budget counts placements (the last agent's candidates are scored
+    unplaced); one more raises :class:`BudgetExceeded` unless ``force`` is set.
     """
+    max_nodes, over_budget = node_budget(budget, force)
     agents, pref, arank = instance.agents, instance.agent_pref, instance.arank
-    check_budget(math.prod(len(pref[a]) for a in agents), budget, force, "assignments")
     # agent a's k-th seat is bit base[a] + k.  For seat (a, p), a running OR
     # down p's list gives over: the seats of agents ranked above a at p that
     # they like less than p (from there they would envy a).  One up gives
@@ -96,6 +95,8 @@ def oracle_optima(instance: SmfqInstance, budget: int | None = None,
                     max_best, max_at = x, placed + [ch]
                 continue
             nodes += 1
+            if nodes > max_nodes:
+                raise over_budget
             mask |= 1 << s
             count[j] += 1
             placed.append(ch)

@@ -217,7 +217,7 @@ def test_extend_cost_with_a_price_file(capsys, fig1_g, tmp_path):
 
 
 def test_extend_cost_honours_the_budget_flags(capsys, fig1_g):
-    # the restricted market has two cost tuples: a3 may take p2 (cost 2) or p1 (cost 1)
+    # the search on the restricted market expands two nodes: the root and one leaf
     code, _, err = run(capsys, "extend", fig1_g, "--objective", "cost", "--budget", "1")
     assert code == 3
     assert "budget" in err

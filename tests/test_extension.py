@@ -19,6 +19,7 @@ from flexq import (
     compute_extendable,
     gale_shapley_a_optimal,
     gen_fig1,
+    gen_random_hr,
     is_envy_free,
     largest_extension,
     min_cost_extension,
@@ -89,9 +90,21 @@ def test_min_cost_extension_prices_the_second_round():
 def test_min_cost_extension_forwards_the_budget():
     _, _, ctx = canonical_context()
     with pytest.raises(BudgetExceeded):
-        min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=1)  # two cost tuples
+        min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=1)  # two search nodes
+    assert min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=2).objective == 3
     ext = min_cost_extension(ctx, {"p1": 1, "p2": 2}, budget=1, force=True)
     assert ext.objective == 3
+
+
+def test_min_cost_extension_budgets_the_nodes_not_the_tuple_product():
+    # both restricted markets have 75,497,472 cost tuples, far over the default budget
+    for seed, spend, nodes in ((1, 495, 372), (3, 598, 86)):
+        g = gen_random_hr(500, 30, 6, 9, 10, seed)
+        ctx = compute_extendable(g, gale_shapley_a_optimal(g))
+        ext = min_cost_extension(ctx, dict(g.cost))
+        assert (ext.objective, ext.stats) == (spend, {"nodes": nodes, "leaves": 1}), seed
+        with pytest.raises(BudgetExceeded):
+            min_cost_extension(ctx, dict(g.cost), budget=nodes - 1)
 
 
 def test_min_cost_extension_validates_its_price_table():
@@ -114,8 +127,7 @@ def test_round_two_solvers_report_their_method_and_counters():
     assert set(dev.stats) == {"probes", "proposals"}
     cost = min_cost_extension(ctx, {"p1": 1, "p2": 2})
     assert (cost.method, cost.certified_optimal) == ("extend-cost", True)
-    assert set(cost.stats) == {"tuples", "nodes", "leaves"}
-    assert cost.stats["tuples"] == 2  # a3 may take p2 or p1
+    assert set(cost.stats) == {"nodes", "leaves"}
     # with no matchable leftover, no search runs and no counter is reported
     g = helpers.unextendable_market()
     empty = min_cost_extension(compute_extendable(g, gale_shapley_a_optimal(g)), {})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -67,7 +68,7 @@ def test_exact_solution_on_the_canonical_market():
     assert report.certified_optimal
     assert report.matching.assignment == {
         "a1": "p1", "a2": "p2", "a3": "p1", "a4": "p1", "a5": "p2"}
-    assert report.stats == {"tuples": 16, "nodes": 5, "leaves": 1}
+    assert report.stats == {"nodes": 5, "leaves": 1}
 
 
 def test_exact_solution_is_deterministic():
@@ -145,7 +146,7 @@ def test_agrees_with_enumeration_on_lists_longer_than_a_machine_word():
         inst = gen_random(4, 70, 70, 3, seed)
         assert min(map(len, inst.agent_pref.values())) > 64
         report = solve_minsum_exact(inst)
-        assert report.stats["tuples"] <= 256
+        assert math.prod(map(len, distinct_costs_per_agent(inst))) <= 256  # cheap to enumerate
         assert (report.objective, report.matching) == helpers.minsum_by_enumeration(inst), seed
 
 
@@ -212,8 +213,8 @@ def test_first_optimal_tuple_wins_when_the_seed_equals_the_optimum():
 def test_search_visits_a_sliver_of_a_large_product():
     inst = gen_random(16, 8, 3, 9, 3)
     report = solve_minsum_exact(inst)
-    assert report.objective == 10  # recorded by full enumeration
-    assert report.stats == {"tuples": 2_519_424, "nodes": 19, "leaves": 1}
+    assert report.objective == 10  # recorded by full enumeration of 2,519,424 cost tuples
+    assert report.stats == {"nodes": 19, "leaves": 1}
     assert approx_promote(inst).stats == {}
 
 
@@ -230,7 +231,7 @@ def test_deep_single_level_market_solves_without_recursion():
     )
     report = solve_minsum_exact(inst)
     assert report.objective == n
-    assert report.stats == {"tuples": 1, "nodes": 1, "leaves": 1}
+    assert report.stats == {"nodes": 1, "leaves": 1}
     assert set(report.matching.assignment.values()) == {"p1"}
 
 
@@ -249,15 +250,16 @@ def two_level_market() -> SmfqInstance:
 
 
 def test_budget_refuses_oversized_enumerations():
-    inst = two_level_market()  # 2 * 2 = 4 cost tuples
-    with pytest.raises(BudgetExceeded):
-        solve_minsum_exact(inst, budget=3)
-    assert solve_minsum_exact(inst, budget=4).objective == 2
-    assert solve_minsum_exact(inst, budget=3, force=True).objective == 2
+    inst = two_level_market()  # 4 cost tuples, but the search expands 3 nodes
+    assert solve_minsum_exact(inst).stats == {"nodes": 3, "leaves": 1}
+    with pytest.raises(BudgetExceeded, match="budget of 2 nodes"):
+        solve_minsum_exact(inst, budget=2)
+    assert solve_minsum_exact(inst, budget=3).objective == 2
+    assert solve_minsum_exact(inst, budget=2, force=True).objective == 2
 
 
-def test_budget_counts_cost_tuples_not_list_lengths():
-    # four programs on every list, but a single cost level: one tuple total
+def test_budget_counts_search_nodes_not_list_lengths():
+    # four programs on every list, but a single cost level: the root is the only node
     agents = [f"a{i}" for i in range(1, 7)]
     programs = [f"p{j}" for j in range(1, 5)]
     inst = SmfqInstance(
@@ -268,6 +270,17 @@ def test_budget_counts_cost_tuples_not_list_lengths():
         cost={p: 5 for p in programs},
     )
     assert solve_minsum_exact(inst, budget=1).objective == 30
+    with pytest.raises(BudgetExceeded):
+        solve_minsum_exact(inst, budget=0)
+
+
+def test_budget_bounds_the_nodes_expanded_not_the_tuple_product():
+    inst = gen_random(24, 12, 4, 9, 1)
+    assert math.prod(map(len, distinct_costs_per_agent(inst))) == 705_277_476_864
+    report = solve_minsum_exact(inst)  # the default budget, not forced
+    assert (report.objective, report.stats) == (73, {"nodes": 921, "leaves": 1})
+    with pytest.raises(BudgetExceeded):
+        solve_minsum_exact(inst, budget=920)
 
 
 def test_budget_argument_overrides_the_default():

@@ -59,7 +59,7 @@ def test_quota_stable_matchings_share_their_matched_set():
 
 
 def test_budget_guards_the_enumeration():
-    _, h = gen_fig1()  # list lengths 2,2,2,2,1: 16 candidate assignments
+    _, h = gen_fig1()  # 16 placements; the last agent's 5 candidates are scored unplaced
     with pytest.raises(BudgetExceeded):
         oracle_minsum(h, budget=15)
     assert oracle_minsum(h, budget=16).objective == 7
