@@ -3,10 +3,10 @@
 Subcommands::
 
     solve minmax <file>
-    solve minsum [--method exact|promote|restrict|minmax] [--budget N] [--force] <file>
+    solve minsum [--method exact|promote|restrict|minmax] [--budget N] <file>
     check <file> --matching <mfile>
-    oracle minsum|minmax <file> [--budget N] [--force]
-    extend <hr-file> --objective deviation | --objective cost [--costs <file>] [--budget N] [--force]
+    oracle minsum|minmax <file> [--budget N]
+    extend <hr-file> --objective deviation | --objective cost [--costs <file>] [--budget N]
     gen fig1|fig2|ex1|ex2|random|masterlist|setcover|vertexcover ...
     bench --suite small --seeds K
 
@@ -69,10 +69,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.objective == "minmax":
         report = solve_minmax(instance)
     elif args.method == "exact":
-        report = solve_minsum_exact(instance, budget=args.budget, force=args.force)
-    elif args.budget is not None or args.force:
-        node_budget(args.budget, args.force)  # a negative budget is refused as anywhere
-        raise ValueError(f"--budget and --force bound no search with --method {args.method}")
+        report = solve_minsum_exact(instance, budget=args.budget)
+    elif args.budget is not None:
+        node_budget(args.budget)  # a negative budget is refused as anywhere
+        raise ValueError(f"--budget bounds no search with --method {args.method}")
     elif args.method == "promote":
         report = approx_promote(instance)
     elif args.method == "restrict":
@@ -97,7 +97,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.file))
     solver = oracle_minsum if args.objective == "minsum" else oracle_minmax
-    report = solver(instance, budget=args.budget, force=args.force)
+    report = solver(instance, budget=args.budget)
     return _emit_report(instance, report)
 
 
@@ -108,15 +108,15 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     round1 = gale_shapley_a_optimal(instance)
     ctx = compute_extendable(instance, round1)
     if args.objective == "deviation":
-        node_budget(args.budget, args.force)  # a negative budget is refused as anywhere
-        if args.budget is not None or args.force:
-            raise ValueError("--budget and --force bound no search with --objective deviation")
+        if args.budget is not None:
+            node_budget(args.budget)  # a negative budget is refused as anywhere
+            raise ValueError("--budget bounds no search with --objective deviation")
         if args.costs is not None:
             raise ValueError("--costs prices round two only with --objective cost")
         report = min_deviation_extension(ctx)
     else:
         costs = parse_cost_file(_read(args.costs)) if args.costs is not None else dict(instance.cost)
-        report = min_cost_extension(ctx, costs, budget=args.budget, force=args.force)
+        report = min_cost_extension(ctx, costs, budget=args.budget)
     return _emit_report(instance, report)
 
 
@@ -208,9 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=None,
-                       help="most search nodes to expand (default 10^7)")
-        p.add_argument("--force", action="store_true",
-                       help="search on past the node budget")
+                       help="most search nodes to expand (default 10^7); "
+                            "a larger N lets a longer search finish")
 
     p_solve = sub.add_parser("solve", help="compute a matching for one objective")
     solve_sub = p_solve.add_subparsers(dest="objective", required=True)

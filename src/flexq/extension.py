@@ -139,21 +139,21 @@ def min_deviation_extension(ctx: ExtensionContext) -> SolveReport:
 
 
 def min_cost_extension(ctx: ExtensionContext, prices: dict[str, int],
-                       budget: int | None = None, force: bool = False) -> SolveReport:
+                       budget: int | None = None) -> SolveReport:
     """Match all matchable leftovers, minimizing round-two spend (the objective).
 
     ``prices`` gives each program its price for the second round.  Every program
     left in the extension graph needs a price: the restricted market raises
     :class:`ValidationError` at the first one missing and its validation
     :class:`NegativeCost` at the first bad one.
-    ``budget`` and ``force`` go to the exact total-spend solver, which raises
-    :class:`BudgetExceeded` past the budget's nodes; a negative budget raises
-    ValueError even with nothing to place.
+    ``budget`` goes to the exact total-spend solver, which raises
+    :class:`BudgetExceeded` once its ``nodes`` stat would pass it; a negative
+    budget raises ValueError even with nothing to place.
     """
     if not ctx.a_u_matchable:
         # skip the solver (its root is one node, which budget 0 refuses), not the sign check
-        node_budget(budget, force)
+        node_budget(budget)
         return SolveReport(_merge(ctx, {}), 0, "extend-cost", certified_optimal=True)
-    rep = solve_minsum_exact(_restricted_market(ctx, dict(prices)), budget=budget, force=force)
+    rep = solve_minsum_exact(_restricted_market(ctx, dict(prices)), budget=budget)
     return SolveReport(_merge(ctx, rep.matching.assignment), rep.objective, "extend-cost",
                        certified_optimal=True, stats=rep.stats)

@@ -14,7 +14,7 @@ child re-prunes only from the agents whose top choice moved, and a node
 carries every agent's cheapest level, so a child recomputes it and its
 bound only over the agents whose masks changed: a node costs what changed
 rather than the whole market.  A level already priced out by the bound is
-not expanded at all.  The nodes expanded are budget-guarded unless forced.
+not expanded at all.  The nodes expanded are budget-guarded.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def _prune(masks: list[int], ahead: list[list[tuple[list[tuple[int, int]], int]]
 def solve_minsum_exact(
     instance: SmfqInstance,
     budget: int | None = None,
-    force: bool = False,
 ) -> SolveReport:
     """Optimal total spend by depth-first branch-and-bound over cost tuples.
 
@@ -83,12 +82,12 @@ def solve_minsum_exact(
     an accepted leaf lowers the limit to its spend.  Leaves are met in
     ascending lexicographic tuple order and must be strictly cheaper than
     the limit, so the first optimal tuple wins and the result is
-    deterministic.  Raises :class:`BudgetExceeded` on expanding one node more
-    than the budget, unless ``force`` is set.  ``stats`` holds ``nodes``
-    (search nodes expanded, leaves included) and ``leaves`` (leaves checked
-    for envy).
+    deterministic.  ``stats`` holds ``nodes`` (search nodes expanded, leaves
+    included), the count the budget bounds: expanding one node more than the
+    budget raises :class:`BudgetExceeded`.  ``leaves`` counts the leaves
+    checked for envy.
     """
-    max_nodes, over_budget = node_budget(budget, force)
+    max_nodes, over_budget = node_budget(budget)
     agents = instance.agents
     pref = instance.agent_pref
     index = {a: i for i, a in enumerate(agents)}

@@ -130,11 +130,11 @@ class SolveReport:
     (``extend-deviation``) or round-two cost (``extend-cost``).
 
     ``stats`` holds deterministic work counters where a solver reports them
-    (``solve_minsum_exact`` and ``min_cost_extension``: ``nodes``, the
-    budgeted count, and ``leaves``, none when no leftover is matchable;
-    ``solve_minmax``, ``approx_via_minmax`` and ``min_deviation_extension``:
-    ``probes``, ``proposals``; the oracles: ``nodes``, their placements plus
-    ``leaves``); equality ignores it.
+    (``solve_minsum_exact``, ``min_cost_extension`` and the oracles:
+    ``nodes``, the count the budget bounds, and ``leaves``, none from
+    ``min_cost_extension`` when no leftover is matchable; ``solve_minmax``,
+    ``approx_via_minmax`` and ``min_deviation_extension``: ``probes``,
+    ``proposals``); equality ignores it.
     """
 
     matching: Matching

@@ -22,17 +22,19 @@ from .budget import node_budget
 from .model import Matching, SmfqInstance, SolveReport
 
 
-def oracle_optima(instance: SmfqInstance, budget: int | None = None,
-                  force: bool = False) -> tuple[SolveReport, SolveReport]:
+def oracle_optima(instance: SmfqInstance,
+                  budget: int | None = None) -> tuple[SolveReport, SolveReport]:
     """The first full stable assignments of least total and of least largest
     spend, as the (minsum, minmax) reports of one walk.
 
     Walks agents in instance order, each over its list in preference order.
     Only a strict improvement is copied, so the first optimum of each wins.
-    The budget counts placements (the last agent's candidates are scored
-    unplaced); one more raises :class:`BudgetExceeded` unless ``force`` is set.
+    The budget counts the ``nodes`` stat: every candidate that passes the
+    envy test, the last agent's (scored without being placed) included; one
+    more raises :class:`BudgetExceeded`.  ``leaves`` counts the full
+    assignments scored.
     """
-    max_nodes, over_budget = node_budget(budget, force)
+    max_nodes, over_budget = node_budget(budget)
     agents, pref, arank = instance.agents, instance.agent_pref, instance.arank
     # agent a's k-th seat is bit base[a] + k.  For seat (a, p), a running OR
     # down p's list gives over: the seats of agents ranked above a at p that
@@ -84,6 +86,9 @@ def oracle_optima(instance: SmfqInstance, budget: int | None = None,
         for ch in cands[i]:
             if ch[4] & mask:
                 continue  # in envy with an agent already placed
+            nodes += 1
+            if nodes > max_nodes:
+                raise over_budget
             _, j, c, s, _ = ch
             if i == last:  # a full assignment: score it without placing i
                 leaves += 1
@@ -94,9 +99,6 @@ def oracle_optima(instance: SmfqInstance, budget: int | None = None,
                 if max_at is None or x < max_best:
                     max_best, max_at = x, placed + [ch]
                 continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise over_budget
             mask |= 1 << s
             count[j] += 1
             placed.append(ch)
@@ -117,18 +119,18 @@ def oracle_optima(instance: SmfqInstance, budget: int | None = None,
                 top = tops.pop()
     if sum_at is None:
         raise AssertionError("a validated instance always admits the top-choice matching")
-    stats = {"nodes": nodes + leaves if agents else 0, "leaves": leaves}
+    stats = {"nodes": nodes, "leaves": leaves}
     return tuple(SolveReport(Matching(dict(zip(agents, [ch[0] for ch in at]))), best, method,
                              certified_optimal=True, stats=dict(stats))
                  for at, best, method in ((sum_at, sum_best, "oracle-minsum"),
                                           (max_at, max_best, "oracle-minmax")))
 
 
-def oracle_minsum(instance: SmfqInstance, budget: int | None = None, force: bool = False) -> SolveReport:
+def oracle_minsum(instance: SmfqInstance, budget: int | None = None) -> SolveReport:
     """Minimum total spend over all full stable assignments, by enumeration."""
-    return oracle_optima(instance, budget, force)[0]
+    return oracle_optima(instance, budget)[0]
 
 
-def oracle_minmax(instance: SmfqInstance, budget: int | None = None, force: bool = False) -> SolveReport:
+def oracle_minmax(instance: SmfqInstance, budget: int | None = None) -> SolveReport:
     """Minimum max spend over all full stable assignments, by enumeration."""
-    return oracle_optima(instance, budget, force)[1]
+    return oracle_optima(instance, budget)[1]

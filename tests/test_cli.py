@@ -142,12 +142,12 @@ def test_oracle_handles_markets_deeper_than_the_recursion_limit(capsys, tmp_path
             assert f"# objective={n}\n" in out and out.startswith("a0 -> p1\n"), (n, wide)
 
 
-def test_extend_deviation_refuses_budget_and_force(capsys, fig1_g):
-    # the deviation objective runs no budgeted search, so neither flag may be given
-    for flags in (("--budget", "0"), ("--budget", "5"), ("--force",), ("--budget", "5", "--force")):
-        code, out, err = run(capsys, "extend", fig1_g, "--objective", "deviation", *flags)
-        assert (code, out) == (2, ""), flags
-        assert err.count("error:") == 1 and "--budget" in err and "--force" in err, flags
+def test_extend_deviation_refuses_a_budget(capsys, fig1_g):
+    # the deviation objective runs no budgeted search, so no budget may be given
+    for budget in ("0", "5"):
+        code, out, err = run(capsys, "extend", fig1_g, "--objective", "deviation", "--budget", budget)
+        assert (code, out) == (2, ""), budget
+        assert err.count("error:") == 1 and "--budget" in err, budget
 
 
 def test_extend_deviation_refuses_a_cost_file(capsys, fig1_g, tmp_path):
@@ -163,18 +163,18 @@ def test_extend_deviation_refuses_a_cost_file(capsys, fig1_g, tmp_path):
                        "--costs", str(prices), "--budget", "-1")
     assert code == 2 and "non-negative" in err and err.count("error:") == 1
     code, _, err = run(capsys, "extend", fig1_g, "--objective", "deviation",
-                       "--costs", str(prices), "--force")
-    assert code == 2 and "--force" in err and "--costs" not in err
+                       "--costs", str(prices), "--budget", "5")
+    assert code == 2 and "--budget" in err and "--costs" not in err
 
 
-def test_polynomial_methods_refuse_budget_and_force(capsys, fig1_h):
+def test_polynomial_methods_refuse_a_budget(capsys, fig1_h):
     # only the exact method runs a budgeted search
     for method in ("promote", "restrict", "minmax"):
-        for flags in (("--budget", "0"), ("--budget", "5"), ("--force",), ("--budget", "5", "--force")):
-            code, out, err = run(capsys, "solve", "minsum", "--method", method, *flags, fig1_h)
-            assert (code, out) == (2, ""), (method, flags)
-            assert err.count("error:") == 1 and "--budget" in err and "--force" in err, (method, flags)
-    code, out, _ = run(capsys, "solve", "minsum", "--method", "exact", "--budget", "5", "--force", fig1_h)
+        for budget in ("0", "5"):
+            code, out, err = run(capsys, "solve", "minsum", "--method", method, "--budget", budget, fig1_h)
+            assert (code, out) == (2, ""), (method, budget)
+            assert err.count("error:") == 1 and "--budget" in err, (method, budget)
+    code, out, _ = run(capsys, "solve", "minsum", "--method", "exact", "--budget", "5", fig1_h)
     assert code == 0 and "# objective=7" in out
 
 
@@ -182,7 +182,20 @@ def test_budget_exit_code(capsys, fig1_h):
     code, _, err = run(capsys, "oracle", "minsum", "--budget", "3", fig1_h)
     assert code == 3
     assert "budget" in err
-    code, out, _ = run(capsys, "oracle", "minsum", "--budget", "3", "--force", fig1_h)
+    # the oracle's fig1 walk takes 21 nodes, its nodes stat: 20 is one short
+    code, _, err = run(capsys, "oracle", "minsum", "--budget", "20", fig1_h)
+    assert code == 3 and "budget of 20 nodes" in err
+    code, out, _ = run(capsys, "oracle", "minsum", "--budget", "21", fig1_h)
+    assert code == 0 and "# objective=7" in out
+
+
+def test_force_is_not_an_option(capsys, fig1_g, fig1_h):
+    # the budget is the one limit: a larger --budget lifts it
+    for argv in (("solve", "minsum", "--force", fig1_h), ("oracle", "minsum", "--force", fig1_h),
+                 ("extend", fig1_g, "--objective", "cost", "--force")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "--force" in err, argv
+    code, out, _ = run(capsys, "solve", "minsum", "--budget", str(10**15), fig1_h)
     assert code == 0 and "# objective=7" in out
 
 
@@ -221,8 +234,7 @@ def test_extend_cost_honours_the_budget_flags(capsys, fig1_g):
     code, _, err = run(capsys, "extend", fig1_g, "--objective", "cost", "--budget", "1")
     assert code == 3
     assert "budget" in err
-    code, out, _ = run(capsys, "extend", fig1_g, "--objective", "cost",
-                       "--budget", "1", "--force")
+    code, out, _ = run(capsys, "extend", fig1_g, "--objective", "cost", "--budget", "2")
     assert code == 0 and "# objective=3" in out
 
 
@@ -437,7 +449,7 @@ def test_every_traced_benchmark_site_resolves():
 
 @pytest.mark.parametrize("exc, code", [(MemoryError, 3), (RecursionError, 4)])
 def test_resource_errors_exit_without_a_traceback(capsys, fig1_h, monkeypatch, exc, code):
-    def boom(instance, budget=None, force=False):
+    def boom(instance, budget=None):
         raise exc
     monkeypatch.setattr("flexq.cli.solve_minsum_exact", boom)
     got, out, err = run(capsys, "solve", "minsum", "--method=exact", fig1_h)

@@ -16,14 +16,19 @@ from flexq import (
     SmfqInstance,
     approx_promote,
     approx_restrict,
+    bench_hr_instance,
     bench_instance,
+    compute_extendable,
     distinct_costs_per_agent,
+    gale_shapley_a_optimal,
     gen_fig1,
     gen_fig2,
     gen_master_list,
     gen_random,
     is_a_perfect,
     is_envy_free,
+    min_cost_extension,
+    oracle_optima,
     reduce_set_cover,
     solve_minsum_exact,
     total_cost,
@@ -170,7 +175,7 @@ def test_solves_the_first_vertex_cover_ladder_rungs(n, seed):
     tau = helpers.branching_min_vertex_cover(edges)
     if n <= 20:  # the subset enumeration takes minutes at 28 vertices
         assert tau == helpers.brute_min_vertex_cover(vertices, edges)
-    report = solve_minsum_exact(inst, force=True)
+    report = solve_minsum_exact(inst)
     assert report.objective == len(edges) + tau
     assert (report.stats["nodes"], report.stats["leaves"]) == LADDER_WORK[n, seed]
     assert is_a_perfect(inst, report.matching)
@@ -183,7 +188,7 @@ def test_solves_the_first_vertex_cover_ladder_rungs(n, seed):
 ])
 def test_solves_48_agent_random_rungs(gen, seed, objective, nodes, leaves):
     inst = gen(48, 24, 4, 9, seed)
-    report = solve_minsum_exact(inst, force=True)
+    report = solve_minsum_exact(inst)
     assert report.objective == objective
     assert (report.stats["nodes"], report.stats["leaves"]) == (nodes, leaves)
     assert report.objective == total_cost(inst, report.matching)
@@ -255,7 +260,7 @@ def test_budget_refuses_oversized_enumerations():
     with pytest.raises(BudgetExceeded, match="budget of 2 nodes"):
         solve_minsum_exact(inst, budget=2)
     assert solve_minsum_exact(inst, budget=3).objective == 2
-    assert solve_minsum_exact(inst, budget=2, force=True).objective == 2
+    assert solve_minsum_exact(inst, budget=10**15).objective == 2  # no search is that long
 
 
 def test_budget_counts_search_nodes_not_list_lengths():
@@ -281,6 +286,31 @@ def test_budget_bounds_the_nodes_expanded_not_the_tuple_product():
     assert (report.objective, report.stats) == (73, {"nodes": 921, "leaves": 1})
     with pytest.raises(BudgetExceeded):
         solve_minsum_exact(inst, budget=920)
+
+
+def test_every_search_refuses_exactly_one_node_below_its_nodes_stat():
+    # the budget meters the nodes stat itself: that many nodes return the same
+    # report and counters, one fewer is refused
+    _, h = gen_fig1()
+    searches = []
+    for inst in [h, *map(bench_instance, range(300))]:
+        searches.append(lambda b, inst=inst: oracle_optima(inst, budget=b))
+        searches.append(lambda b, inst=inst: (solve_minsum_exact(inst, budget=b),))
+    for g in map(bench_hr_instance, range(300)):
+        ctx = compute_extendable(g, gale_shapley_a_optimal(g))
+        searches.append(lambda b, g=g, ctx=ctx: (min_cost_extension(ctx, dict(g.cost), budget=b),))
+    checked = 0
+    for search in searches:
+        reports = search(None)
+        if not reports[0].stats:
+            continue  # min_cost_extension with no leftover to place searches nothing
+        nodes = reports[0].stats["nodes"]
+        again = search(nodes)
+        assert again == reports and [r.stats for r in again] == [r.stats for r in reports]
+        with pytest.raises(BudgetExceeded):
+            search(nodes - 1)
+        checked += 1
+    assert checked == 2 * 301 + 130  # 130 of the quota markets have leftovers to place
 
 
 def test_budget_argument_overrides_the_default():

@@ -59,17 +59,16 @@ def test_quota_stable_matchings_share_their_matched_set():
 
 
 def test_budget_guards_the_enumeration():
-    _, h = gen_fig1()  # 16 placements; the last agent's 5 candidates are scored unplaced
+    _, h = gen_fig1()  # 21 nodes: 16 placements plus 5 scored leaves
     with pytest.raises(BudgetExceeded):
-        oracle_minsum(h, budget=15)
-    assert oracle_minsum(h, budget=16).objective == 7
-    assert oracle_minsum(h, budget=1, force=True).objective == 7
+        oracle_minsum(h, budget=20)
+    assert oracle_minsum(h, budget=21).objective == 7
     with pytest.raises(BudgetExceeded):
-        oracle_minmax(h, budget=15)
-    assert oracle_minmax(h, budget=16).objective == 4
+        oracle_minmax(h, budget=20)
+    assert oracle_minmax(h, budget=21).objective == 4
     with pytest.raises(BudgetExceeded):
-        oracle_optima(h, budget=15)
-    assert [r.objective for r in oracle_optima(h, budget=16)] == [7, 4]
+        oracle_optima(h, budget=20)
+    assert [r.objective for r in oracle_optima(h, budget=21)] == [7, 4]
 
 
 def test_oracle_minimum_is_a_true_minimum():
