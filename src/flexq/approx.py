@@ -64,7 +64,7 @@ def approx_promote(instance: SmfqInstance) -> SolveReport:
     if not set(match.values()) <= set(p_star.values()):
         raise AssertionError("promotion occupied a program no agent chose as its cheapest")
     m = Matching(match)
-    return SolveReport(m, total_cost(instance, m), "promote", certified_optimal=False)
+    return SolveReport(m, total_cost(instance, m), "promote")
 
 
 def approx_restrict(instance: SmfqInstance) -> SolveReport:
@@ -81,7 +81,7 @@ def approx_restrict(instance: SmfqInstance) -> SolveReport:
                 match[a] = p
                 break
     m = Matching(match)
-    return SolveReport(m, total_cost(instance, m), "restrict", certified_optimal=False)
+    return SolveReport(m, total_cost(instance, m), "restrict")
 
 
 def approx_via_minmax(instance: SmfqInstance) -> SolveReport:
@@ -89,10 +89,6 @@ def approx_via_minmax(instance: SmfqInstance) -> SolveReport:
 
     ``stats`` are the max-spend solver's counters.
     """
-    return _via_minmax_report(instance, solve_minmax(instance))
-
-
-def _via_minmax_report(instance: SmfqInstance, rep: SolveReport) -> SolveReport:
-    """Score a ``solve_minmax`` report of ``instance`` by its total spend."""
+    rep = solve_minmax(instance)
     return SolveReport(rep.matching, total_cost(instance, rep.matching), "via-minmax",
-                       certified_optimal=False, stats=rep.stats)
+                       stats=rep.stats)

@@ -44,13 +44,17 @@ class ExtensionContext:
 
     round1: HrInstance
     m1: Matching
-    a_u: list[str]
     g_m: dict[str, list[str]]
+
+    @property
+    def a_u(self) -> list[str]:
+        """Agents round one left unmatched, in instance order."""
+        return list(self.g_m)
 
     @property
     def a_u_matchable(self) -> list[str]:
         """Unmatched agents some stable extension can match."""
-        return [a for a in self.a_u if self.g_m[a]]
+        return [a for a, ps in self.g_m.items() if ps]
 
 
 def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
@@ -64,11 +68,9 @@ def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
     An unmatched agent stripped of every edge keeps an empty list (no stable
     extension can match it) rather than failing the computation.
     """
-    ok, _ = is_hr_stable(round1, m1)
-    if not ok:
+    if not is_hr_stable(round1, m1).ok:
         raise NotStable("the round-one matching admits a blocking pair")
 
-    a_u = unmatched_agents(round1, m1)
     agent_pref, arank, prank = round1.agent_pref, round1.arank, round1.prank
     # a program nobody envies keeps a barrier past the end of its list
     bar = {p: len(lst) for p, lst in round1.program_pref.items()}
@@ -78,8 +80,8 @@ def compute_extendable(round1: HrInstance, m1: Matching) -> ExtensionContext:
             if r < bar[p]:
                 bar[p] = r
     # below the barrier, joining p would make the barrier agent envious
-    g_m = {a: [p for p in agent_pref[a] if prank[p][a] < bar[p]] for a in a_u}
-    return ExtensionContext(round1=round1, m1=m1, a_u=a_u, g_m=g_m)
+    g_m = {a: [p for p in agent_pref[a] if prank[p][a] < bar[p]] for a in unmatched_agents(round1, m1)}
+    return ExtensionContext(round1=round1, m1=m1, g_m=g_m)
 
 
 def _merge(ctx: ExtensionContext, extra: dict[str, str]) -> Matching:
@@ -135,7 +137,7 @@ def min_deviation_extension(ctx: ExtensionContext) -> SolveReport:
     if d_star != rep.objective:
         raise AssertionError(f"largest overflow {d_star} differs from the solver's optimum {rep.objective}")
     return SolveReport(_merge(ctx, rep.matching.assignment), d_star, "extend-deviation",
-                       certified_optimal=True, stats=rep.stats)
+                       stats=rep.stats)
 
 
 def min_cost_extension(ctx: ExtensionContext, prices: dict[str, int],
@@ -153,7 +155,7 @@ def min_cost_extension(ctx: ExtensionContext, prices: dict[str, int],
     if not ctx.a_u_matchable:
         # skip the solver (its root is one node, which budget 0 refuses), not the sign check
         node_budget(budget)
-        return SolveReport(_merge(ctx, {}), 0, "extend-cost", certified_optimal=True)
+        return SolveReport(_merge(ctx, {}), 0, "extend-cost")
     rep = solve_minsum_exact(_restricted_market(ctx, dict(prices)), budget=budget)
     return SolveReport(_merge(ctx, rep.matching.assignment), rep.objective, "extend-cost",
-                       certified_optimal=True, stats=rep.stats)
+                       stats=rep.stats)

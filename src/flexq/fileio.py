@@ -10,7 +10,7 @@ Instance files::
     p1 cost=1: a2 a4 a1 a3      <- "hr" files additionally require quota=<int>
     p2 cost=2: a1 a2 a5 a3 a4
 
-Identifiers match ``[A-Za-z0-9_]+`` and integers ``-?[0-9]+``.  An id is
+Identifiers match ``[A-Za-z0-9_]+`` and integers ``-?[0-9]{1,600}``.  An id is
 checked when it is first seen: a list naming only ids seen before needs no
 check, and one that names a new id is scanned once for a character outside
 ids and whitespace; only a hit falls back to checking token by token, which
@@ -45,7 +45,8 @@ from .model import HrInstance, Matching, SmfqInstance, validate
 _IDENT = re.compile(r"^[A-Za-z0-9_]+$")
 # re's \s matches exactly the code points str.split() splits on
 _NON_IDENT = re.compile(r"[^A-Za-z0-9_\s]")
-_INT = re.compile(r"-?[0-9]+")
+# at most 600 digits: int() and str() accept that many under any interpreter setting
+_INT = re.compile(r"-?[0-9]{1,600}")
 _MATCH_LINE = re.compile(r"^([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+|-)$")
 
 
@@ -79,10 +80,7 @@ def _ident_list(text: str, lineno: int) -> list[str]:
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
     if _INT.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() accepts
-            pass
+        return int(text)
     raise ParseError(f"{what} must be an integer, got {text!r}", lineno)
 
 

@@ -76,5 +76,4 @@ def solve_minmax(instance: SmfqInstance) -> SolveReport:
         raise AssertionError(f"the matching at the optimal threshold {t_star} leaves an agent out")
     if max_cost(instance, matching) != t_star:
         raise AssertionError(f"the matching at the optimal threshold {t_star} spends a different maximum")
-    return SolveReport(matching, t_star, "minmax", certified_optimal=True,
-                       stats={"probes": probes, "proposals": proposals})
+    return SolveReport(matching, t_star, "minmax", stats={"probes": probes, "proposals": proposals})

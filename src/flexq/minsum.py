@@ -146,5 +146,4 @@ def solve_minsum_exact(
 
     if best is None:
         raise AssertionError("no cost tuple beats the approximations' spend")
-    return SolveReport(Matching(best), limit, "minsum-exact", certified_optimal=True,
-                       stats={"nodes": nodes, "leaves": leaves})
+    return SolveReport(Matching(best), limit, "minsum-exact", stats={"nodes": nodes, "leaves": leaves})

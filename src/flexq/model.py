@@ -140,15 +140,22 @@ class SolveReport:
     matching: Matching
     objective: int
     method: str
-    certified_optimal: bool
     stats: dict[str, int] = field(default_factory=dict, compare=False)
+
+    @property
+    def certified_optimal(self) -> bool:
+        """False only for the three approximations, which carry a ratio bound instead."""
+        return self.method not in ("promote", "restrict", "via-minmax")
 
 
 class StabilityCheck(NamedTuple):
-    """Result of a stability scan: overall verdict plus every violating pair."""
+    """Result of a stability scan: every violating pair; ``ok`` when there is none."""
 
-    ok: bool
     violations: list[tuple[str, str]]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def validate(instance: SmfqInstance) -> None:
@@ -235,7 +242,7 @@ def _scan(instance: SmfqInstance, assignment: dict[str, str], worst: dict[str, i
         aindex = {a: i for i, a in enumerate(instance.agents)}
         pindex = {p: i for i, p in enumerate(instance.programs)}
         violations.sort(key=lambda v: (aindex[v[0]], pindex[v[1]]))
-    return StabilityCheck(not violations, violations)
+    return StabilityCheck(violations)
 
 
 def is_envy_free(instance: SmfqInstance, matching: Matching) -> StabilityCheck:

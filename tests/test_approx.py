@@ -25,7 +25,7 @@ from flexq import (
     solve_minmax,
     total_cost,
 )
-from flexq.approx import _via_minmax_report
+from flexq.cli import cli
 
 
 def test_cheapest_program_breaks_cost_ties_by_preference():
@@ -112,12 +112,18 @@ def test_heuristic_outputs_are_stable_and_bounded():
         assert approx_via_minmax(inst).objective <= len(inst.programs) * opt
 
 
-def test_bench_scores_its_max_spend_report_as_the_via_minmax_approximation():
-    # the sweep scores the via-minmax row from its own solve_minmax report
-    for seed in range(600):
+def test_bench_scores_its_max_spend_report_as_the_via_minmax_approximation(capsys):
+    # the sweep's viamax column is the total spend of its own solve_minmax
+    # matching, which is the matching approx_via_minmax reports
+    assert cli(["bench", "--suite", "small", "--seeds", "600"]) == 0
+    header, *rows, _ = capsys.readouterr().out.splitlines()
+    col = header[2:].split("\t").index("viamax")
+    assert len(rows) == 600
+    for seed, row in enumerate(rows):
         inst = bench_instance(seed)
-        got, want = _via_minmax_report(inst, solve_minmax(inst)), approx_via_minmax(inst)
-        assert got == want and got.stats == want.stats, seed
+        mm, via = solve_minmax(inst), approx_via_minmax(inst)
+        assert (via.matching, via.stats) == (mm.matching, mm.stats), seed
+        assert int(row.split("\t")[col]) == via.objective == total_cost(inst, mm.matching), seed
 
 
 def test_promotion_only_ever_fills_cheapest_seats():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -17,10 +18,12 @@ import pytest
 import flexq
 import helpers
 from flexq import (
+    Matching,
     SmfqInstance,
     gen_example1,
     gen_fig1,
     gen_fig2,
+    gen_master_list,
     gen_random_hr,
     parse_instance,
     parse_set_cover,
@@ -267,6 +270,9 @@ def test_gen_writes_parsable_instances(capsys, tmp_path):
     assert parse_instance(out) == gen_fig1()[1]
     code, out, _ = run(capsys, "gen", "fig1", "--variant", "hr")
     assert parse_instance(out) == gen_fig1()[0]
+    code, out, _ = run(capsys, "gen", "masterlist", "--agents", "6", "--programs", "5",
+                       "--list-len", "3", "--cost-max", "9", "--seed", "3")
+    assert (code, out) == (0, serialize_instance(gen_master_list(6, 5, 3, 9, 3)))
 
 
 def test_gen_random_is_deterministic(capsys):
@@ -337,6 +343,24 @@ def test_bench_sweep_output_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "88310909319db09dddea711b87176df2e6bfe00207b42b7641648508be7edb96")
+
+
+def test_bench_flags_each_disagreement_and_exits_4(capsys, monkeypatch):
+    real_exact, real_promote = flexq.cli.solve_minsum_exact, flexq.cli.approx_promote
+
+    def exact_one_over(instance, budget=None):
+        rep = real_exact(instance, budget)
+        return dataclasses.replace(rep, objective=rep.objective + 1)
+
+    def promote_one_short(instance):
+        rep = real_promote(instance)  # the first agent is left out
+        return dataclasses.replace(rep, matching=Matching(dict(list(rep.matching.assignment.items())[1:])))
+    monkeypatch.setattr("flexq.cli.solve_minsum_exact", exact_one_over)
+    monkeypatch.setattr("flexq.cli.approx_promote", promote_one_short)
+    code, out, _ = run(capsys, "bench", "--suite", "small", "--seeds", "3")
+    _, *rows, trailer = out.splitlines()
+    assert [row.split("\t")[-1] for row in rows] == ["exact!=oracle,promote:not-a-perfect"] * 3
+    assert (code, trailer) == (4, "# violations=6")
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +573,18 @@ def test_every_public_name_is_used_outside_the_tests():
     assert [name for name in flexq.__all__ if name not in read | exempt] == []
 
 
+def test_no_module_imports_a_private_name_from_another():
+    # a name that starts with an underscore stays inside its module
+    pkg = Path(flexq.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("flexq")):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_console_entry_point(capsys, fig1_h, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["flexq", "solve", "minmax", fig1_h])
     with pytest.raises(SystemExit) as exc:
@@ -575,3 +611,22 @@ def test_module_entry_point(capsys, fig1_h, tmp_path):
     proc = module("solve", "minmax", str(bad))
     assert proc.returncode == 2
     assert proc.stderr == "error: line 3: bad identifier 'p-1'\n"
+
+
+def test_integer_fields_read_the_same_under_any_int_string_limit(tmp_path):
+    # integers have at most 600 digits, and Python sets no int/str limit below 640
+    src = str(Path(flexq.__file__).resolve().parent.parent)
+    market = "smfq 1\n[agents]\na1: p1\n[programs]\np1 cost={}: a1\n"
+    at_cap, over = tmp_path / "cap.smfq", tmp_path / "over.smfq"
+    at_cap.write_text(market.format("9" * 600))
+    over.write_text(market.format("9" * 601))
+    seen = set()
+    for limit in ("0", "640"):
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        seen.add(tuple((proc.returncode, proc.stdout, proc.stderr) for proc in (
+            subprocess.run([sys.executable, "-m", "flexq.cli", "solve", "minmax", str(path)],
+                           env=env, capture_output=True, text=True, timeout=60)
+            for path in (at_cap, over))))
+    assert seen == {((0, f"a1 -> p1\n# objective={'9' * 600}\n# method=minmax\n# certified=true\n", ""),
+                     (2, "", f"error: line 5: cost must be an integer, got '{'9' * 601}'\n"))}

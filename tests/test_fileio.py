@@ -362,6 +362,7 @@ def test_duplicate_declarations_rejected():
     ("p1 cost=1 cost=2: a1", "duplicate"),
     ("p1 cost=1 shiny=3: a1", "unknown"),
     ("p1 cost=1 quota=2: a1", "quota"),   # quotas have no meaning without 'hr'
+    (": a1", "program lines are"),         # nothing before the colon
 ])
 def test_bad_program_lines(progline, fragment):
     text = f"smfq 1\n[agents]\na1: p1\n[programs]\n{progline}\n"
@@ -482,6 +483,8 @@ def test_set_cover_parsing_derives_the_occurrence_count():
     "elements 1\nrow s1: e1\n",                       # unknown line shape
     "elements 1\nset s1: e1 e1\nset s2: e1\n",        # repeat inside one set
     "elements 0_1\nset s1: e1\nset s2: e1\n",        # only ASCII digits count
+    "elements 1\nset s1 e1\nset s2: e1\n",           # set line without a colon
+    "elements 0\n",                                  # no elements at all
 ])
 def test_set_cover_rejects_malformed_inputs(text):
     with pytest.raises(ParseError):

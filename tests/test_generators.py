@@ -215,6 +215,8 @@ def test_random_market_parameter_validation():
         gen_random(3, 2, 3, 5, seed=0)  # lists longer than the market
     with pytest.raises(ValueError):
         gen_random(3, 2, 1, -1, seed=0)
+    with pytest.raises(ValueError, match="quota_max"):
+        gen_random_hr(3, 2, 1, 5, quota_max=0, seed=0)
 
 
 def test_master_list_markets_follow_two_global_orders():

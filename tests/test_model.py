@@ -79,10 +79,21 @@ def test_validate_rejects_duplicate_agent_id():
         validate(inst)
 
 
+def test_validate_rejects_duplicate_program_id():
+    inst = SmfqInstance(["a1"], ["p1", "p1"],
+                        {"a1": ["p1"]}, {"p1": ["a1"]}, {"p1": 0})
+    with pytest.raises(DuplicateInList, match="duplicate program identifier"):
+        validate(inst)
+
+
 def test_validate_rejects_duplicate_in_preference_list():
     inst = SmfqInstance(["a1"], ["p1"],
                         {"a1": ["p1", "p1"]}, {"p1": ["a1"]}, {"p1": 0})
     with pytest.raises(DuplicateInList):
+        validate(inst)
+    inst = SmfqInstance(["a1"], ["p1"],
+                        {"a1": ["p1"]}, {"p1": ["a1", "a1"]}, {"p1": 0})
+    with pytest.raises(DuplicateInList, match="program p1 repeats"):
         validate(inst)
 
 
@@ -280,7 +291,11 @@ def test_envy_check_matches_naive_scan(seed):
                   for a in inst.agents if rng.random() < 0.8}
     got = is_envy_free(inst, Matching(assignment))
     assert got.ok == helpers.envy_free_naive(inst, assignment)
-    assert got.ok == (got.violations == [])
+    # every pair, in (agent position, program position) order
+    assert got.violations == [
+        (a, p) for a in inst.agents for p in inst.programs
+        if helpers.prefers(inst, a, p, assignment.get(a))
+        and any(q == p and helpers.program_prefers(inst, p, a, b) for b, q in assignment.items())]
 
 
 def test_removing_an_agent_preserves_envy_freeness():
