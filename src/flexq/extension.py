@@ -17,7 +17,6 @@ minimize the total round-two cost under fresh per-program prices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .budget import node_budget
 from .errors import NotStable, ValidationError
@@ -26,6 +25,7 @@ from .minsum import solve_minsum_exact
 from .model import (
     HrInstance,
     Matching,
+    Record,
     SmfqInstance,
     SolveReport,
     is_hr_stable,
@@ -34,17 +34,17 @@ from .model import (
 from .hr import unmatched_agents
 
 
-@dataclass
-class ExtensionContext:
+class ExtensionContext(Record):
     """Everything round two needs: the pruned extension graph and who can use it.
 
     ``g_m[a]`` lists, in a's preference order, the programs unmatched agent
     a may still join without creating envy.
     """
 
-    round1: HrInstance
-    m1: Matching
-    g_m: dict[str, list[str]]
+    _fields = ("round1", "m1", "g_m")
+
+    def __init__(self, round1: HrInstance, m1: Matching, g_m: dict[str, list[str]]):
+        self.round1, self.m1, self.g_m = round1, m1, g_m
 
     @property
     def a_u(self) -> list[str]:

@@ -63,9 +63,14 @@ def _meaningful_lines(text: str):
             yield i, line
 
 
+def _quote(token: str) -> str:
+    """``repr(token)``, cut after 40 characters so that an error message stays one short line."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+
+
 def _check_ident(name: str, lineno: int) -> str:
     if not _IDENT.match(name):
-        raise ParseError(f"bad identifier {name!r}", lineno)
+        raise ParseError(f"bad identifier {_quote(name)}", lineno)
     return name
 
 
@@ -81,7 +86,7 @@ def _ident_list(text: str, lineno: int) -> list[str]:
 def _parse_int(text: str, what: str, lineno: int) -> int:
     if _INT.fullmatch(text):
         return int(text)
-    raise ParseError(f"{what} must be an integer, got {text!r}", lineno)
+    raise ParseError(f"{what} must be an integer, got {_quote(text)}", lineno)
 
 
 def parse_instance(text: str) -> SmfqInstance | HrInstance:
@@ -95,7 +100,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         raise ParseError("empty input: expected a 'smfq 1' or 'hr 1' header")
     parts = header.split()
     if len(parts) != 2 or parts[0] not in ("smfq", "hr") or parts[1] != "1":
-        raise ParseError(f"expected header 'smfq 1' or 'hr 1', got {header!r}", lineno)
+        raise ParseError(f"expected header 'smfq 1' or 'hr 1', got {_quote(header)}", lineno)
     kind = parts[0]
 
     ids: dict[str, str] = {}  # the one object kept for each id; every key passed the id check
@@ -118,7 +123,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             section = "programs"
             continue
         if line.startswith("["):
-            raise ParseError(f"unknown section {line!r}", lineno)
+            raise ParseError(f"unknown section {_quote(line)}", lineno)
         if section is None:
             raise ParseError("expected the [agents] section", lineno)
 
@@ -147,7 +152,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             for tok in tokens[1:]:
                 key, eq, val = tok.partition("=")
                 if not eq or key not in ("cost", "quota"):
-                    raise ParseError(f"unknown attribute {tok!r}", lineno)
+                    raise ParseError(f"unknown attribute {_quote(tok)}", lineno)
                 if key in keys:
                     raise ParseError(f"duplicate attribute {key!r}", lineno)
                 keys[key] = _parse_int(val, key, lineno)
@@ -279,7 +284,7 @@ def parse_set_cover(text: str) -> SetCoverInstance:
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "elements":
-        raise ParseError(f"expected 'elements <n>', got {header!r}", lineno)
+        raise ParseError(f"expected 'elements <n>', got {_quote(header)}", lineno)
     declared = _parse_int(parts[1], "element count", lineno)
 
     sets: dict[str, list[str]] = {}

@@ -10,9 +10,8 @@ generators are fully seeded and deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .model import HrInstance, SmfqInstance
+from .model import HrInstance, Record, SmfqInstance
 
 
 def gen_fig1() -> tuple[HrInstance, SmfqInstance]:
@@ -103,18 +102,16 @@ def gen_example2(n: int = 5, alpha: int = 100) -> SmfqInstance:
                         {"p1": 1, "p2": 2, "p3": alpha})
 
 
-@dataclass
-class SetCoverInstance:
+class SetCoverInstance(Record):
     """A covering problem where every element lies in exactly ``f`` sets."""
 
-    sets: dict[str, list[str]]
-    elements: list[str]
-    f: int
+    _fields = ("sets", "elements", "f")
 
-    def __post_init__(self):
-        known = set(self.elements)
-        counts = {e: 0 for e in self.elements}
-        for sid, members in self.sets.items():
+    def __init__(self, sets: dict[str, list[str]], elements: list[str], f: int):
+        self.sets, self.elements, self.f = sets, elements, f
+        known = set(elements)
+        counts = {e: 0 for e in elements}
+        for sid, members in sets.items():
             if len(set(members)) != len(members):
                 raise ValueError(f"set {sid} repeats an element")
             for e in members:
@@ -122,21 +119,20 @@ class SetCoverInstance:
                     raise ValueError(f"set {sid} mentions unknown element {e}")
                 counts[e] += 1
         for e, c in counts.items():
-            if c != self.f:
-                raise ValueError(f"element {e} occurs in {c} sets, expected {self.f}")
+            if c != f:
+                raise ValueError(f"element {e} occurs in {c} sets, expected {f}")
 
 
-@dataclass
-class GraphInstance:
+class GraphInstance(Record):
     """A simple undirected graph with named vertices."""
 
-    vertices: list[str]
-    edges: list[tuple[str, str]]
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        known = set(self.vertices)
+    def __init__(self, vertices: list[str], edges: list[tuple[str, str]]):
+        self.vertices, self.edges = vertices, edges
+        known = set(vertices)
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if u not in known or v not in known:

@@ -21,13 +21,11 @@ the outcome does not depend on the order of proposals.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 
 from .model import HrInstance, Matching, SmfqInstance
 
 
-@dataclass
 class DaState:
     """Where a deferred-acceptance run stands.
 
@@ -39,9 +37,9 @@ class DaState:
     record of who holds whom; :meth:`matching` reads the matching off them.
     """
 
-    slots: dict[str, tuple[list[int], int, dict[str, int], list[str]]]
-    nxt: dict[str, int]
-    proposals: int = 0
+    def __init__(self, slots: dict[str, tuple[list[int], int, dict[str, int], list[str]]],
+                 nxt: dict[str, int], proposals: int = 0):
+        self.slots, self.nxt, self.proposals = slots, nxt, proposals
 
     def matching(self, instance: SmfqInstance) -> Matching:
         held = {lst[-r]: p for p, (heap, _, _, lst) in self.slots.items() for r in heap}

@@ -15,8 +15,6 @@ all solvers in this package.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import (
     DuplicateInList,
@@ -52,8 +50,27 @@ class _RankTable:
         return table
 
 
-@dataclass
-class SmfqInstance:
+class Record:
+    """A record: ``==`` compares the ``_fields`` in order, only against the same
+    class, and ``repr`` is ``Name(field=value, ...)``; unhashable.  Not a
+    dataclass, so importing flexq loads neither ``dataclasses`` nor ``inspect``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SmfqInstance(Record):
     """A two-sided market with per-program costs and no quotas.
 
     ``agents`` and ``programs`` fix identifier order; every deterministic
@@ -65,22 +82,20 @@ class SmfqInstance:
     position on the other side's list (0 = most preferred; absent = not
     listed).  Each is built from the normalized lists on first read and kept
     on the instance; :func:`validate` reads both, while generating,
-    serializing and ``dataclasses.replace`` read neither, so they build none.
-    Equality and ``repr`` ignore them.  Instances are treated as immutable
-    values once constructed.
+    serializing and building a copy with the constructor read neither, so
+    they build none.  Equality and ``repr`` ignore them.  Instances are
+    treated as immutable values once constructed.
     """
 
-    agents: list[str]
-    programs: list[str]
-    agent_pref: dict[str, list[str]]
-    program_pref: dict[str, list[str]]
-    cost: dict[str, int] = field(default_factory=dict)
+    _fields = ("agents", "programs", "agent_pref", "program_pref", "cost")
 
-    def __post_init__(self):
-        alists, plists = self.agent_pref, self.program_pref
-        self.agent_pref = {a: alists.get(a, []) for a in self.agents}
-        self.program_pref = {p: plists.get(p, []) for p in self.programs}
-        self.cost = {p: self.cost.get(p, 0) for p in self.programs}
+    def __init__(self, agents: list[str], programs: list[str], agent_pref: dict[str, list[str]],
+                 program_pref: dict[str, list[str]], cost: dict[str, int] | None = None):
+        cost = cost or {}
+        self.agents, self.programs = agents, programs
+        self.agent_pref = {a: agent_pref.get(a, []) for a in agents}
+        self.program_pref = {p: program_pref.get(p, []) for p in programs}
+        self.cost = {p: cost.get(p, 0) for p in programs}
 
     @_RankTable
     def arank(self) -> dict[str, dict[str, int]]:
@@ -94,7 +109,6 @@ class SmfqInstance:
         return program in self.arank.get(agent, ())
 
 
-@dataclass
 class HrInstance(SmfqInstance):
     """SmfqInstance plus a rigid per-program quota.
 
@@ -102,26 +116,30 @@ class HrInstance(SmfqInstance):
     cleanly; quotas missing from the dict normalize to 0 and fail validation.
     """
 
-    quota: dict[str, int] = field(default_factory=dict)
+    _fields = SmfqInstance._fields + ("quota",)
 
-    def __post_init__(self):
-        super().__post_init__()
-        self.quota = {p: self.quota.get(p, 0) for p in self.programs}
+    def __init__(self, agents: list[str], programs: list[str], agent_pref: dict[str, list[str]],
+                 program_pref: dict[str, list[str]], cost: dict[str, int] | None = None,
+                 quota: dict[str, int] | None = None):
+        super().__init__(agents, programs, agent_pref, program_pref, cost)
+        quota = quota or {}
+        self.quota = {p: quota.get(p, 0) for p in programs}
 
 
-@dataclass
-class Matching:
+class Matching(Record):
     """A partial assignment of agents to programs.
 
     ``assignment`` maps each matched agent to its program; unmatched agents
     are simply absent.  Equality ignores insertion order.
     """
 
-    assignment: dict[str, str] = field(default_factory=dict)
+    _fields = ("assignment",)
+
+    def __init__(self, assignment: dict[str, str] | None = None):
+        self.assignment = {} if assignment is None else assignment
 
 
-@dataclass
-class SolveReport:
+class SolveReport(Record):
     """A solver result: the matching, its objective value and the method.
 
     ``method`` also names the objective: total spend (``minsum-exact``,
@@ -137,10 +155,15 @@ class SolveReport:
     ``proposals``); equality ignores it.
     """
 
-    matching: Matching
-    objective: int
-    method: str
-    stats: dict[str, int] = field(default_factory=dict, compare=False)
+    _fields = ("matching", "objective", "method", "stats")
+
+    def __init__(self, matching: Matching, objective: int, method: str,
+                 stats: dict[str, int] | None = None):
+        self.matching, self.objective, self.method = matching, objective, method
+        self.stats = {} if stats is None else stats
+
+    def _key(self) -> tuple:
+        return self.matching, self.objective, self.method
 
     @property
     def certified_optimal(self) -> bool:
@@ -148,10 +171,13 @@ class SolveReport:
         return self.method not in ("promote", "restrict", "via-minmax")
 
 
-class StabilityCheck(NamedTuple):
+class StabilityCheck(Record):
     """Result of a stability scan: every violating pair; ``ok`` when there is none."""
 
-    violations: list[tuple[str, str]]
+    _fields = ("violations",)
+
+    def __init__(self, violations: list[tuple[str, str]]):
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

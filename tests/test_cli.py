@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -20,6 +19,7 @@ import helpers
 from flexq import (
     Matching,
     SmfqInstance,
+    SolveReport,
     gen_example1,
     gen_fig1,
     gen_fig2,
@@ -350,11 +350,12 @@ def test_bench_flags_each_disagreement_and_exits_4(capsys, monkeypatch):
 
     def exact_one_over(instance, budget=None):
         rep = real_exact(instance, budget)
-        return dataclasses.replace(rep, objective=rep.objective + 1)
+        return SolveReport(rep.matching, rep.objective + 1, rep.method, rep.stats)
 
     def promote_one_short(instance):
         rep = real_promote(instance)  # the first agent is left out
-        return dataclasses.replace(rep, matching=Matching(dict(list(rep.matching.assignment.items())[1:])))
+        return SolveReport(Matching(dict(list(rep.matching.assignment.items())[1:])),
+                           rep.objective, rep.method, rep.stats)
     monkeypatch.setattr("flexq.cli.solve_minsum_exact", exact_one_over)
     monkeypatch.setattr("flexq.cli.approx_promote", promote_one_short)
     code, out, _ = run(capsys, "bench", "--suite", "small", "--seeds", "3")
@@ -585,6 +586,15 @@ def test_no_module_imports_a_private_name_from_another():
     assert found == []
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site hooks, such as .pth files that preload typing, from hiding a regression
+    src = str(Path(flexq.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import flexq.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_console_entry_point(capsys, fig1_h, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["flexq", "solve", "minmax", fig1_h])
     with pytest.raises(SystemExit) as exc:
@@ -629,4 +639,4 @@ def test_integer_fields_read_the_same_under_any_int_string_limit(tmp_path):
                            env=env, capture_output=True, text=True, timeout=60)
             for path in (at_cap, over))))
     assert seen == {((0, f"a1 -> p1\n# objective={'9' * 600}\n# method=minmax\n# certified=true\n", ""),
-                     (2, "", f"error: line 5: cost must be an integer, got '{'9' * 601}'\n"))}
+                     (2, "", f"error: line 5: cost must be an integer, got '{'9' * 40}'... (601 characters)\n"))}

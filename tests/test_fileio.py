@@ -33,6 +33,7 @@ from flexq import (
     solve_minmax,
 )
 from flexq import fileio
+from flexq.cli import cli
 
 CANONICAL_H = """\
 smfq 1
@@ -162,10 +163,17 @@ def test_crlf_and_lone_cr_files_parse_like_lf_files():
 @pytest.mark.parametrize("line", [
     "a-1: p1",               # bad identifier
     "a1 extra: p1",          # stray token on an agent line
+    pytest.param("a-" + "1" * 9998 + ": p1", id="10000-character bad identifier"),
 ])
-def test_bad_agent_lines(line):
+def test_bad_agent_lines(line, tmp_path, capsys):
+    text = f"smfq 1\n[agents]\n{line}\n[programs]\np1 cost=0: a1\n"
     with pytest.raises(ParseError):
-        parse_instance(f"smfq 1\n[agents]\n{line}\n[programs]\np1 cost=0: a1\n")
+        parse_instance(text)
+    path = tmp_path / "bad.smfq"
+    path.write_text(text)
+    assert cli(["solve", "minmax", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1 and len(err) < 120
 
 
 def test_valid_lists_are_scanned_without_a_per_token_check(monkeypatch):

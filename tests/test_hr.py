@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -44,7 +43,8 @@ def test_proposal_order_does_not_change_the_outcome():
     g, _ = gen_fig1()
     base = gale_shapley_a_optimal(g)
     for order in itertools.permutations(g.agents):
-        assert gale_shapley_a_optimal(dataclasses.replace(g, agents=list(order))) == base
+        assert gale_shapley_a_optimal(HrInstance(list(order), g.programs, g.agent_pref,
+                                                 g.program_pref, g.cost, g.quota)) == base
 
 
 @given(st.integers(min_value=0, max_value=5000))
@@ -56,7 +56,8 @@ def test_proposal_order_invariance_on_random_markets(seed):
     for _ in range(3):
         order = list(inst.agents)
         rng.shuffle(order)
-        assert gale_shapley_a_optimal(dataclasses.replace(inst, agents=order)) == base
+        assert gale_shapley_a_optimal(HrInstance(order, inst.programs, inst.agent_pref,
+                                                 inst.program_pref, inst.cost, inst.quota)) == base
 
 
 def test_agent_optimality_among_all_stable_matchings():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
@@ -61,7 +60,8 @@ def test_pruned_fixed_point_is_order_independent():
     helpers.prune_naive(h, base)
     for order in itertools.permutations(h.agents):
         adjsets = helpers.tuple_graph(h, (1, 2, 1, 1, 2))
-        assert helpers.prune_naive(dataclasses.replace(h, agents=list(order)), adjsets) is None
+        assert helpers.prune_naive(SmfqInstance(list(order), h.programs, h.agent_pref,
+                                                h.program_pref, h.cost), adjsets) is None
         assert adjsets == base
 
 
@@ -91,7 +91,7 @@ def test_exact_solution_is_deterministic():
         random.Random(seed).shuffle(order)
         markets.append((inst, order))
     for inst, order in markets:
-        shuffled = dataclasses.replace(inst, agents=order)
+        shuffled = SmfqInstance(order, inst.programs, inst.agent_pref, inst.program_pref, inst.cost)
         report = solve_minsum_exact(shuffled)
         assert report.objective == solve_minsum_exact(inst).objective, order
         assert is_a_perfect(shuffled, report.matching)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -13,6 +12,8 @@ import helpers
 from flexq import (
     DuplicateInList,
     EmptyAgentList,
+    ExtensionContext,
+    GraphInstance,
     HrInstance,
     Matching,
     NegativeCost,
@@ -20,6 +21,7 @@ from flexq import (
     QuotaViolated,
     SetCoverInstance,
     SmfqInstance,
+    SolveReport,
     ZeroQuota,
     bench_instance,
     gen_fig1,
@@ -36,6 +38,7 @@ from flexq import (
     total_cost,
     validate,
 )
+from flexq.model import StabilityCheck
 
 
 def tiny() -> SmfqInstance:
@@ -200,19 +203,20 @@ def test_rank_tables_are_built_on_first_read_and_kept():
 
 
 def test_equality_and_repr_ignore_the_rank_tables():
-    built, fresh = tiny(), tiny()
-    text = repr(fresh)
-    validate(built)
-    assert "arank" in vars(built) and "arank" not in vars(fresh)
-    assert built == fresh and repr(built) == text
-    assert "arank" not in text and "prank" not in text
+    for make in (tiny, lambda: gen_fig1()[0]):
+        built, fresh = make(), make()
+        text = repr(fresh)
+        validate(built)
+        assert "arank" in vars(built) and "arank" not in vars(fresh)
+        assert built == fresh and repr(built) == text
+        assert "arank" not in text and "prank" not in text
 
 
 def test_a_replaced_copy_gets_fresh_rank_tables():
     inst = tiny()
     validate(inst)
-    swapped = dataclasses.replace(inst, agents=["a2", "a1"],
-                                  program_pref={"p1": ["a1"], "p2": ["a1", "a2"]})
+    swapped = SmfqInstance(["a2", "a1"], inst.programs, inst.agent_pref,
+                           {"p1": ["a1"], "p2": ["a1", "a2"]}, inst.cost)
     assert "arank" not in vars(swapped) and "prank" not in vars(swapped)
     assert swapped.prank["p2"] == {"a1": 0, "a2": 1} != inst.prank["p2"]
     assert list(swapped.arank) == ["a2", "a1"]
@@ -225,6 +229,48 @@ def test_a_parsed_instance_carries_both_rank_tables():
         assert "arank" in vars(parsed) and "prank" in vars(parsed)
         assert parsed.arank == _enumerated(parsed.agent_pref)
         assert parsed.prank == _enumerated(parsed.program_pref)
+
+
+_ONE = {"agents": ["a1"], "programs": ["p1"], "agent_pref": {"a1": ["p1"]},
+        "program_pref": {"p1": ["a1"]}, "cost": {"p1": 2}}
+_HR_ONE = HrInstance(**_ONE, quota={"p1": 1})
+
+
+# each public record: its fields, one field to change and a value it does not hold
+_RECORDS = [
+    (SmfqInstance, _ONE, "cost", {"p1": 3}),
+    (HrInstance, {**_ONE, "quota": {"p1": 1}}, "quota", {"p1": 2}),
+    (Matching, {"assignment": {"a1": "p1"}}, "assignment", {}),
+    (SolveReport, {"matching": Matching({"a1": "p1"}), "objective": 2, "method": "minmax",
+                   "stats": {"probes": 1}}, "objective", 3),
+    (StabilityCheck, {"violations": [("a1", "p1")]}, "violations", []),
+    (ExtensionContext, {"round1": _HR_ONE, "m1": Matching(), "g_m": {"a1": ["p1"]}}, "g_m", {"a1": []}),
+    (SetCoverInstance, {"sets": {"s1": ["e1"], "s2": ["e1"]}, "elements": ["e1"], "f": 2},
+     "sets", {"s1": ["e1"], "s3": ["e1"]}),
+    (GraphInstance, {"vertices": ["u", "v"], "edges": [("u", "v")]}, "edges", []),
+]
+
+
+@pytest.mark.parametrize("cls, fields, name, other", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_records_compare_and_print_field_by_field(cls, fields, name, other):
+    rec = cls(**fields)
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    assert rec == cls(**fields) and rec != cls(**{**fields, name: other})
+    assert rec.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(rec)
+
+
+def test_record_equality_is_per_class_ignores_stats_and_defaults_fresh_dicts():
+    smfq = SmfqInstance(**_ONE)
+    assert smfq != _HR_ONE and _HR_ONE != smfq
+    assert smfq.__eq__(_HR_ONE) is NotImplemented and _HR_ONE.__eq__(smfq) is NotImplemented
+    m = Matching({"a1": "p1", "a2": "p1"})
+    assert m == Matching({"a2": "p1", "a1": "p1"})
+    assert SolveReport(m, 2, "minmax", {"probes": 1}) == SolveReport(m, 2, "minmax")
+    assert SolveReport(m, 2, "minmax") != SolveReport(m, 2, "minmax-exact")
+    assert Matching().assignment is not Matching().assignment
+    assert SolveReport(m, 2, "minmax").stats is not SolveReport(m, 2, "minmax").stats
 
 
 # ---------------------------------------------------------------------------
