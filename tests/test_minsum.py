@@ -223,6 +223,22 @@ def test_search_visits_a_sliver_of_a_large_product():
     assert approx_promote(inst).stats == {}
 
 
+def test_search_work_on_the_sweep_markets_is_pinned():
+    # the bench sweep's market shape: totals over bench_instance 0-2999, most
+    # of whose markets have no agent with two cost levels and so one node
+    reports = [solve_minsum_exact(bench_instance(seed)) for seed in range(3000)]
+    assert sum(r.stats["nodes"] for r in reports) == 7_427
+    assert sum(r.stats["leaves"] for r in reports) == 3_009
+    assert sum(r.objective for r in reports) == 17_385
+    assert sum(r.stats["nodes"] == 1 for r in reports) == 1_672
+
+
+@pytest.mark.parametrize("seed, objective, nodes", [(1, 53, 13), (2, 36, 16), (3, 15, 13)])
+def test_search_work_on_twelve_agent_markets_is_pinned(seed, objective, nodes):
+    report = solve_minsum_exact(gen_random(12, 6, 3, 9, seed))
+    assert (report.objective, report.stats) == (objective, {"nodes": nodes, "leaves": 1})
+
+
 def test_deep_single_level_market_solves_without_recursion():
     # one cost level per agent: a single tuple, far deeper than the recursion limit
     n = 3000
