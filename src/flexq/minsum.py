@@ -76,45 +76,45 @@ def solve_minsum_exact(
     exact at a leaf, where every agent takes its lowest set bit.  A level
     whose cost plus the other agents' cheapest levels already reaches the
     limit is skipped before its mask is copied: pruning only raises levels,
-    so that child would be cut anyway.  The limit starts one above the
-    spend of the cheaper of :func:`approx_promote` and
-    :func:`approx_restrict`; nodes whose bound reaches the limit are cut, and
-    an accepted leaf lowers the limit to its spend.  Leaves are met in
-    ascending lexicographic tuple order and must be strictly cheaper than
-    the limit, so the first optimal tuple wins and the result is
-    deterministic.  ``stats`` holds ``nodes`` (search nodes expanded, leaves
-    included), the count the budget bounds: expanding one node more than the
-    budget raises :class:`BudgetExceeded`.  ``leaves`` counts the leaves
-    checked for envy.
+    so that child would be cut anyway.  When some agent branches, the limit
+    starts one above the spend of the cheaper of :func:`approx_promote` and
+    :func:`approx_restrict`; when none does, the root is the one leaf and
+    there is no limit to start from, so neither runs.  Nodes whose bound
+    reaches the limit are cut, and an accepted leaf lowers the limit to its
+    spend.  Leaves are met in ascending lexicographic tuple order and must
+    be strictly cheaper than the limit, so the first optimal tuple wins and
+    the result is deterministic.  ``stats`` holds ``nodes`` (search nodes
+    expanded, leaves included), the count the budget bounds: expanding one
+    node more than the budget raises :class:`BudgetExceeded`.  ``leaves``
+    counts the leaves checked for envy.
     """
     max_nodes, over_budget = node_budget(budget)
     agents = instance.agents
-    pref = instance.agent_pref
+    pref, arank, prank, cost = instance.agent_pref, instance.arank, instance.prank, instance.cost
     index = {a: i for i, a in enumerate(agents)}
-    pairs = {p: [(index[x], 1 << instance.arank[x][p]) for x in lst]
+    pairs = {p: [(index[x], 1 << arank[x][p]) for x in lst]
              for p, lst in instance.program_pref.items()}
-    ahead = [[(pairs[p], instance.prank[p][a] + 1) for p in pref[a]] for a in agents]
+    ahead = [[(pairs[p], prank[p][a] + 1) for p in pref[a]] for a in agents]
     # per agent, each cost level ascending with the mask of its list positions
     levels = []
-    for a, costs in zip(agents, distinct_costs_per_agent(instance)):
-        level_masks = dict.fromkeys(costs, 0)
+    for a in agents:
+        level_masks: dict[int, int] = {}
         for j, p in enumerate(pref[a]):
-            level_masks[instance.cost[p]] |= 1 << j
-        levels.append(list(level_masks.items()))
-    branch = [(i, lv) for i, lv in enumerate(levels) if len(lv) > 1]
+            level_masks[cost[p]] = level_masks.get(cost[p], 0) | 1 << j
+        levels.append(sorted(level_masks.items()))
+    # the branching agents, each with its levels descending: children are pushed in that
+    # order, so they are popped in ascending order
+    branch = [(i, lv[::-1]) for i, lv in enumerate(levels) if len(lv) > 1]
 
-    def cheapest(x: int, m: int) -> int:
-        for c, lm in levels[x]:
-            if m & lm:
-                return c
-
-    limit = min(approx_promote(instance).objective, approx_restrict(instance).objective) + 1
+    # with no agent to branch on, the root is the one leaf and nothing can be cut
+    limit = (min(approx_promote(instance).objective, approx_restrict(instance).objective) + 1
+             if branch else float("inf"))
     best: dict[str, str] | None = None
     nodes = leaves = 0
     root = [(1 << len(pref[a])) - 1 for a in agents]
     stack = []
     if _prune(root, ahead, list(range(len(agents)))) is not None:
-        floor = list(map(cheapest, range(len(agents)), root))
+        floor = [next(c for c, lm in lv if m & lm) for lv, m in zip(levels, root)]
         stack.append((0, root, floor, sum(floor)))
     while stack:
         depth, masks, floor, lb = stack.pop()
@@ -131,19 +131,28 @@ def solve_minsum_exact(
             best, limit = assignment, lb
             continue
         i, lv = branch[depth]
+        m = masks[i]
+        top = m & -m
         rest = lb - floor[i]  # a child's bound is at least rest plus its level's cost
-        for c, lm in [(c, lm) for c, lm in lv if masks[i] & lm and rest + c < limit][::-1]:
-            child = masks[:]  # pushed in descending order, so popped in ascending order
-            child[i] &= lm
-            touched = _prune(child, ahead, [] if child[i] & masks[i] & -masks[i] else [i])
+        for c, lm in lv:  # no leaf is met while a node's children are pushed: limit holds
+            if not m & lm or rest + c >= limit:
+                continue
+            child = masks[:]
+            child[i] = m & lm
+            touched = () if child[i] & top else _prune(child, ahead, [i])  # re-prune if the top moved
             if touched is not None:
                 low = floor[:]
                 low[i] = c
-                for x in touched:
-                    low[x] = cheapest(x, child[x])
-                stack.append((depth + 1, child, low,
-                              lb + sum(low[x] - floor[x] for x in touched | {i})))
+                bound = rest + c
+                for x in touched:  # each one's cheapest level, and its change to the bound
+                    mx = child[x]
+                    for cx, lmx in levels[x]:
+                        if mx & lmx:
+                            break
+                    bound += cx - low[x]
+                    low[x] = cx
+                stack.append((depth + 1, child, low, bound))
 
     if best is None:
-        raise AssertionError("no cost tuple beats the approximations' spend")
+        raise AssertionError("no cost tuple survived the search")
     return SolveReport(Matching(best), limit, "minsum-exact", stats={"nodes": nodes, "leaves": leaves})

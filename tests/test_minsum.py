@@ -337,3 +337,21 @@ def test_budget_argument_overrides_the_default():
     assert solve_minsum_exact(inst).objective == 2  # budget=None: DEFAULT_BUDGET
     with pytest.raises(ValueError, match="non-negative"):
         solve_minsum_exact(inst, budget=-1)
+
+
+def test_no_incumbent_is_computed_where_no_agent_branches(monkeypatch):
+    # with one cost level per agent the root is the one leaf, so the
+    # approximations' spend could cut nothing and neither runs
+    def unused(instance):
+        raise AssertionError("an approximation ran")
+    monkeypatch.setattr("flexq.minsum.approx_promote", unused)
+    monkeypatch.setattr("flexq.minsum.approx_restrict", unused)
+    singles = [inst for inst in map(bench_instance, range(200))
+               if max(map(len, distinct_costs_per_agent(inst))) == 1]
+    assert len(singles) == 111
+    for inst in singles:
+        report = solve_minsum_exact(inst)
+        assert report.stats == {"nodes": 1, "leaves": 1}
+        assert report.objective == helpers.brute_min_total(inst)
+    with pytest.raises(AssertionError, match="an approximation ran"):
+        solve_minsum_exact(two_level_market())
