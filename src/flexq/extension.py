@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .budget import node_budget
-from .errors import NotStable, ValidationError
+from .errors import NotStable, ValidationError, clipped
 from .minmax import solve_minmax
 from .minsum import solve_minsum_exact
 from .model import (
@@ -105,7 +105,7 @@ def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInsta
     programs = [p for p in ctx.round1.programs if p in takers]
     for p in programs:
         if p not in cost:
-            raise ValidationError(f"missing round-two cost for program {p}")
+            raise ValidationError(f"missing round-two cost for program {clipped(p)}")
     inst = SmfqInstance(
         agents=agents,
         programs=programs,

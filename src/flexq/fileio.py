@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import NonMutualEdge, ParseError
+from .errors import NonMutualEdge, ParseError, clipped
 from .generators import GraphInstance, SetCoverInstance
 from .model import HrInstance, Matching, SmfqInstance, validate
 
@@ -63,14 +63,9 @@ def _meaningful_lines(text: str):
             yield i, line
 
 
-def _quote(token: str) -> str:
-    """``repr(token)``, cut after 40 characters so that an error message stays one short line."""
-    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
-
-
 def _check_ident(name: str, lineno: int) -> str:
     if not _IDENT.match(name):
-        raise ParseError(f"bad identifier {_quote(name)}", lineno)
+        raise ParseError(f"bad identifier {clipped(name, repr)}", lineno)
     return name
 
 
@@ -86,7 +81,7 @@ def _ident_list(text: str, lineno: int) -> list[str]:
 def _parse_int(text: str, what: str, lineno: int) -> int:
     if _INT.fullmatch(text):
         return int(text)
-    raise ParseError(f"{what} must be an integer, got {_quote(text)}", lineno)
+    raise ParseError(f"{what} must be an integer, got {clipped(text, repr)}", lineno)
 
 
 def parse_instance(text: str) -> SmfqInstance | HrInstance:
@@ -100,7 +95,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         raise ParseError("empty input: expected a 'smfq 1' or 'hr 1' header")
     parts = header.split()
     if len(parts) != 2 or parts[0] not in ("smfq", "hr") or parts[1] != "1":
-        raise ParseError(f"expected header 'smfq 1' or 'hr 1', got {_quote(header)}", lineno)
+        raise ParseError(f"expected header 'smfq 1' or 'hr 1', got {clipped(header, repr)}", lineno)
     kind = parts[0]
 
     ids: dict[str, str] = {}  # the one object kept for each id; every key passed the id check
@@ -123,7 +118,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
             section = "programs"
             continue
         if line.startswith("["):
-            raise ParseError(f"unknown section {_quote(line)}", lineno)
+            raise ParseError(f"unknown section {clipped(line, repr)}", lineno)
         if section is None:
             raise ParseError("expected the [agents] section", lineno)
 
@@ -139,7 +134,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
                     raise ParseError("agent lines are '<id>: <program ids>'", lineno)
                 _check_ident(h, lineno)
             if h in agent_pref:
-                raise ParseError(f"duplicate agent line for {h}", lineno)
+                raise ParseError(f"duplicate agent line for {clipped(h)}", lineno)
             pref = agent_pref
         else:
             tokens = head.split()
@@ -147,21 +142,21 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
                 raise ParseError("program lines are '<id> cost=<int> [quota=<int>]: <agent ids>'", lineno)
             h = _check_ident(tokens[0], lineno)
             if h in program_pref:
-                raise ParseError(f"duplicate program line for {h}", lineno)
+                raise ParseError(f"duplicate program line for {clipped(h)}", lineno)
             keys: dict[str, int] = {}
             for tok in tokens[1:]:
                 key, eq, val = tok.partition("=")
                 if not eq or key not in ("cost", "quota"):
-                    raise ParseError(f"unknown attribute {_quote(tok)}", lineno)
+                    raise ParseError(f"unknown attribute {clipped(tok, repr)}", lineno)
                 if key in keys:
                     raise ParseError(f"duplicate attribute {key!r}", lineno)
                 keys[key] = _parse_int(val, key, lineno)
             if "cost" not in keys:
-                raise ParseError(f"program {h} is missing cost=<int>", lineno)
+                raise ParseError(f"program {clipped(h)} is missing cost=<int>", lineno)
             if kind == "hr" and "quota" not in keys:
-                raise ParseError(f"program {h} is missing quota=<int>, required by 'hr 1'", lineno)
+                raise ParseError(f"program {clipped(h)} is missing quota=<int>, required by 'hr 1'", lineno)
             if kind == "smfq" and "quota" in keys:
-                raise ParseError(f"program {h} carries a quota, not allowed in 'smfq 1'", lineno)
+                raise ParseError(f"program {clipped(h)} carries a quota, not allowed in 'smfq 1'", lineno)
             cost[h] = keys["cost"]
             if kind == "hr":
                 quota[h] = keys["quota"]
@@ -190,10 +185,12 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         for a, lst in agent_pref.items():
             for p in lst:
                 if p not in program_pref:
+                    a, p = clipped(a), clipped(p)
                     raise ParseError(f"agent {a} references undeclared program {p}") from None
         for p, lst in program_pref.items():
             for a in lst:
                 if a not in agent_pref:
+                    a, p = clipped(a), clipped(p)
                     raise ParseError(f"program {p} references undeclared agent {a}") from None
         raise
     return instance
@@ -231,19 +228,19 @@ def parse_matching(text: str, instance: SmfqInstance) -> Matching:
             raise ParseError("expected '<agent> -> <program>' or '<agent> -> -'", lineno)
         agent, program = m.group(1), m.group(2)
         if idx >= len(expected):
-            raise ParseError(f"unexpected extra line for {agent}", lineno)
+            raise ParseError(f"unexpected extra line for {clipped(agent)}", lineno)
         if agent != expected[idx]:
-            raise ParseError(f"expected agent {expected[idx]}, got {agent}", lineno)
+            raise ParseError(f"expected agent {clipped(expected[idx])}, got {clipped(agent)}", lineno)
         agent = expected[idx]
         idx += 1
         if program == "-":
             continue
         rank = instance.arank[agent].get(program)
         if rank is None:
-            raise ParseError(f"agent {agent} does not accept program {program}", lineno)
+            raise ParseError(f"agent {clipped(agent)} does not accept program {clipped(program)}", lineno)
         assignment[agent] = instance.agent_pref[agent][rank]
     if idx != len(expected):
-        raise ParseError(f"missing line for agent {expected[idx]}")
+        raise ParseError(f"missing line for agent {clipped(expected[idx])}")
     return Matching(assignment)
 
 
@@ -271,7 +268,7 @@ def parse_cost_file(text: str) -> dict[str, int]:
             raise ParseError("expected '<program> <cost>'", lineno)
         p = _check_ident(parts[0], lineno)
         if p in costs:
-            raise ParseError(f"duplicate cost for {p}", lineno)
+            raise ParseError(f"duplicate cost for {clipped(p)}", lineno)
         costs[p] = _parse_int(parts[1], "cost", lineno)
     return costs
 
@@ -284,7 +281,7 @@ def parse_set_cover(text: str) -> SetCoverInstance:
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "elements":
-        raise ParseError(f"expected 'elements <n>', got {_quote(header)}", lineno)
+        raise ParseError(f"expected 'elements <n>', got {clipped(header, repr)}", lineno)
     declared = _parse_int(parts[1], "element count", lineno)
 
     sets: dict[str, list[str]] = {}
@@ -296,7 +293,7 @@ def parse_set_cover(text: str) -> SetCoverInstance:
             raise ParseError("expected 'set <id>: <element ids>'", lineno)
         sid = _check_ident(head.strip(), lineno)
         if sid in sets:
-            raise ParseError(f"duplicate set {sid}", lineno)
+            raise ParseError(f"duplicate set {clipped(sid)}", lineno)
         sets[sid] = _ident_list(tail, lineno)
     elements = list(dict.fromkeys(e for members in sets.values() for e in members))
     if len(elements) != declared:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import clipped
 from .model import HrInstance, Record, SmfqInstance
 
 
@@ -113,14 +114,14 @@ class SetCoverInstance(Record):
         counts = {e: 0 for e in elements}
         for sid, members in sets.items():
             if len(set(members)) != len(members):
-                raise ValueError(f"set {sid} repeats an element")
+                raise ValueError(f"set {clipped(sid)} repeats an element")
             for e in members:
                 if e not in known:
-                    raise ValueError(f"set {sid} mentions unknown element {e}")
+                    raise ValueError(f"set {clipped(sid)} mentions unknown element {clipped(e)}")
                 counts[e] += 1
         for e, c in counts.items():
             if c != f:
-                raise ValueError(f"element {e} occurs in {c} sets, expected {f}")
+                raise ValueError(f"element {clipped(e)} occurs in {c} sets, expected {f}")
 
 
 class GraphInstance(Record):
@@ -134,12 +135,12 @@ class GraphInstance(Record):
         seen = set()
         for u, v in edges:
             if u == v:
-                raise ValueError(f"self-loop at {u}")
+                raise ValueError(f"self-loop at {clipped(u)}")
             if u not in known or v not in known:
-                raise ValueError(f"edge ({u}, {v}) uses an undeclared vertex")
+                raise ValueError(f"edge ({clipped(u)}, {clipped(v)}) uses an undeclared vertex")
             key = frozenset((u, v))
             if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise ValueError(f"duplicate edge ({clipped(u)}, {clipped(v)})")
             seen.add(key)
 
 

@@ -23,6 +23,7 @@ from .errors import (
     NonMutualEdge,
     QuotaViolated,
     ZeroQuota,
+    clipped,
 )
 
 
@@ -203,42 +204,44 @@ def validate(instance: SmfqInstance) -> None:
     for a, lst in instance.agent_pref.items():
         for p in lst:
             if a not in prank.get(p, ()):
+                a, p = clipped(a), clipped(p)
                 raise NonMutualEdge(f"agent {a} lists {p}, but {p} does not list {a}")
     # every agent-side edge is now on the program side, so equal counts mean equal edge sets
     if sum(map(len, arank.values())) != sum(map(len, prank.values())):
         for p, lst in instance.program_pref.items():
             for a in lst:
                 if p not in arank.get(a, ()):
+                    a, p = clipped(a), clipped(p)
                     raise NonMutualEdge(f"program {p} lists {a}, but {a} does not list {p}")
 
     # a rank table keeps one entry per distinct name
     for a, lst in instance.agent_pref.items():
         if len(arank[a]) != len(lst):
-            raise DuplicateInList(f"agent {a} repeats an entry in its preference list")
+            raise DuplicateInList(f"agent {clipped(a)} repeats an entry in its preference list")
     for p, lst in instance.program_pref.items():
         if len(prank[p]) != len(lst):
-            raise DuplicateInList(f"program {p} repeats an entry in its preference list")
+            raise DuplicateInList(f"program {clipped(p)} repeats an entry in its preference list")
 
     for a, lst in instance.agent_pref.items():
         if not lst:
-            raise EmptyAgentList(f"agent {a} has an empty preference list")
+            raise EmptyAgentList(f"agent {clipped(a)} has an empty preference list")
 
     for p in instance.programs:
         c = instance.cost[p]
         if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-            raise NegativeCost(f"program {p} has cost {c!r}; costs must be non-negative integers")
+            raise NegativeCost(f"program {clipped(p)} has cost {c!r}; costs must be non-negative integers")
 
     if isinstance(instance, HrInstance):
         for p in instance.programs:
             q = instance.quota[p]
             if isinstance(q, bool) or not isinstance(q, int) or q < 1:
-                raise ZeroQuota(f"program {p} has quota {q!r}; quotas must be positive integers")
+                raise ZeroQuota(f"program {clipped(p)} has quota {q!r}; quotas must be positive integers")
 
 
 def _check_assigned_acceptable(instance: SmfqInstance, matching: Matching) -> None:
     for a, p in matching.assignment.items():
         if not instance.is_acceptable(a, p):
-            raise ValueError(f"matching assigns {a} to {p}, which is not on its list")
+            raise ValueError(f"matching assigns {clipped(a)} to {clipped(p)}, which is not on its list")
 
 
 def _roster_worst(instance: SmfqInstance, assignment: dict[str, str]) -> dict[str, int]:
@@ -295,7 +298,8 @@ def is_hr_stable(instance: HrInstance, matching: Matching) -> StabilityCheck:
     sizes = Counter(assignment.values())
     for p in instance.programs:
         if sizes.get(p, 0) > instance.quota[p]:
-            raise QuotaViolated(f"program {p} holds {sizes[p]} agents but has quota {instance.quota[p]}")
+            raise QuotaViolated(f"program {clipped(p)} holds {sizes[p]} agents "
+                                f"but has quota {instance.quota[p]}")
     worst = _roster_worst(instance, assignment)
     for p in instance.programs:
         if sizes.get(p, 0) < instance.quota[p]:

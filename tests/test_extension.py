@@ -118,6 +118,21 @@ def test_min_cost_extension_validates_its_price_table():
         min_cost_extension(ctx, {"p1": -1, "p2": -2})
 
 
+def test_a_missing_price_names_a_long_program_id_cut():
+    g, _, _ = canonical_context()
+    long_p = "p" * 10_000
+    ren = {"p2": long_p}.get
+    g2 = HrInstance(g.agents, [ren(p, p) for p in g.programs],
+                    {a: [ren(p, p) for p in lst] for a, lst in g.agent_pref.items()},
+                    {ren(p, p): lst for p, lst in g.program_pref.items()},
+                    {ren(p, p): c for p, c in g.cost.items()},
+                    quota={ren(p, p): q for p, q in g.quota.items()})
+    ctx = compute_extendable(g2, gale_shapley_a_optimal(g2))
+    with pytest.raises(ValidationError) as err:
+        min_cost_extension(ctx, {"p1": 1})
+    assert str(err.value) == f"missing round-two cost for program {'p' * 40}... (10000 characters)"
+
+
 def test_round_two_solvers_report_their_method_and_counters():
     _, _, ctx = canonical_context()
     assert isinstance(largest_extension(ctx), Matching)

@@ -585,3 +585,75 @@ def test_auxiliary_parsers_raise_only_documented_errors(parse, text):
         parse(text)
     except (ParseError, ValidationError):
         pass
+
+
+# 10,000-character ids: every message that names an id shows its first 40
+# characters and its length, so it stays one short line
+LONG_A, LONG_P = "a" * 10_000, "p" * 10_000
+CUT_A, CUT_P = "a" * 40 + "... (10000 characters)", "p" * 40 + "... (10000 characters)"
+FIG1 = serialize_instance(gen_fig1()[1])
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_instance, f"smfq 1\n[agents]\n{LONG_A}: p1\n{LONG_A}: p1\n[programs]\np1 cost=1: {LONG_A}\n",
+     f"line 4: duplicate agent line for {CUT_A}"),
+    (parse_instance, f"smfq 1\n[agents]\na1: {LONG_P}\n[programs]\n{LONG_P} cost=1: a1\n{LONG_P} cost=1: a1\n",
+     f"line 6: duplicate program line for {CUT_P}"),
+    (parse_instance, f"smfq 1\n[agents]\na1: {LONG_P}\n[programs]\n{LONG_P}: a1\n",
+     f"line 5: program {CUT_P} is missing cost=<int>"),
+    (parse_instance, f"hr 1\n[agents]\na1: {LONG_P}\n[programs]\n{LONG_P} cost=1: a1\n",
+     f"line 5: program {CUT_P} is missing quota=<int>, required by 'hr 1'"),
+    (parse_instance, f"smfq 1\n[agents]\na1: {LONG_P}\n[programs]\n{LONG_P} cost=1 quota=1: a1\n",
+     f"line 5: program {CUT_P} carries a quota, not allowed in 'smfq 1'"),
+    (parse_instance, f"smfq 1\n[agents]\na1: p1 {LONG_P}\n[programs]\np1 cost=1: a1\n",
+     f"agent a1 references undeclared program {CUT_P}"),
+    (parse_instance, f"smfq 1\n[agents]\na1: p1\n[programs]\np1 cost=1: a1 {LONG_A}\n",
+     f"program p1 references undeclared agent {CUT_A}"),
+    (lambda text: parse_matching(text, parse_instance(FIG1)),
+     "a1 -> p1\na2 -> p2\na3 -> p1\na4 -> p1\na5 -> p2\n" f"{LONG_A} -> p1\n",
+     f"line 6: unexpected extra line for {CUT_A}"),
+    (lambda text: parse_matching(text, parse_instance(FIG1)), f"{LONG_A} -> p1\n",
+     f"line 1: expected agent a1, got {CUT_A}"),
+    (lambda text: parse_matching(text, parse_instance(FIG1)), f"a1 -> {LONG_P}\n",
+     f"line 1: agent a1 does not accept program {CUT_P}"),
+    (lambda text: parse_matching(text, parse_instance(
+        f"smfq 1\n[agents]\na1: p1\n{LONG_A}: p1\n[programs]\np1 cost=1: a1 {LONG_A}\n")), "a1 -> p1\n",
+     f"missing line for agent {CUT_A}"),
+    (parse_cost_file, f"{LONG_P} 1\n{LONG_P} 2\n", f"line 2: duplicate cost for {CUT_P}"),
+    (parse_set_cover, f"elements 1\nset {LONG_A}: e1\nset {LONG_A}: e1\n", f"line 3: duplicate set {CUT_A}"),
+    (parse_set_cover, f"elements 1\nset {LONG_A}: e1 e1\n", f"set {CUT_A} repeats an element"),
+    (parse_set_cover, f"elements 2\nset s1: e1 {LONG_P}\nset s2: e1\n",
+     f"element {CUT_P} occurs in 1 sets, expected 2"),
+    (parse_graph, f"edge {LONG_A} {LONG_A}\n", f"self-loop at {CUT_A}"),
+    (parse_graph, f"edge {LONG_A} {LONG_P}\nedge {LONG_P} {LONG_A}\n", f"duplicate edge ({CUT_P}, {CUT_A})"),
+], ids=["duplicate-agent", "duplicate-program", "missing-cost", "missing-quota", "stray-quota",
+        "undeclared-program", "undeclared-agent", "extra-matching-line", "wrong-agent",
+        "unacceptable-program", "missing-matching-line", "duplicate-cost", "duplicate-set",
+        "set-repeats", "element-count", "self-loop", "duplicate-edge"])
+def test_a_long_id_is_cut_in_every_message_that_names_it(parse, text, message):
+    assert str(pytest.raises(ParseError, parse, text).value) == message
+
+
+def test_an_id_of_40_characters_is_named_whole_and_one_of_41_is_cut():
+    for n, shown in ((40, "a" * 40), (41, "a" * 40 + "... (41 characters)")):
+        text = "smfq 1\n[agents]\n{0}: p1\n{0}: p1\n[programs]\np1 cost=1: {0}\n".format("a" * n)
+        assert str(pytest.raises(ParseError, parse_instance, text).value) == \
+            f"line 4: duplicate agent line for {shown}"
+
+
+def test_long_ids_in_bad_files_print_one_short_stderr_line(tmp_path, capsys):
+    fig1, matching = tmp_path / "fig1.smfq", tmp_path / "long.txt"
+    fig1.write_text(FIG1)
+    matching.write_text(f"{LONG_A} -> p1\n")
+    runs = [["check", str(fig1), "--matching", str(matching)]]
+    for name, text in (("dup", f"smfq 1\n[agents]\n{LONG_A}: p1\n{LONG_A}: p1\n[programs]\np1 cost=1: {LONG_A}\n"),
+                       ("undeclared", f"smfq 1\n[agents]\na1: p1 {'p' * 5001}\n[programs]\np1 cost=1: a1\n")):
+        (tmp_path / name).write_text(text)
+        runs.append(["solve", "minmax", str(tmp_path / name)])
+    errs = []
+    for argv in runs:
+        assert cli(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == [f"error: line 1: expected agent a1, got {CUT_A}\n",
+                    f"error: line 4: duplicate agent line for {CUT_A}\n",
+                    f"error: agent a1 references undeclared program {'p' * 40}... (5001 characters)\n"]

@@ -159,6 +159,44 @@ def test_validate_rejects_missing_or_nonpositive_quota(quota):
         validate(inst)
 
 
+# 10,000-character ids: every message that names an id shows its first 40
+# characters and its length, so it stays one short line
+A, P = "a" * 10_000, "p" * 10_000
+CUT_A, CUT_P = "a" * 40 + "... (10000 characters)", "p" * 40 + "... (10000 characters)"
+
+
+@pytest.mark.parametrize("check, error, message", [
+    (lambda: validate(SmfqInstance([A], ["p1"], {A: ["p1"]}, {"p1": []})),
+     NonMutualEdge, f"agent {CUT_A} lists p1, but p1 does not list {CUT_A}"),
+    (lambda: validate(SmfqInstance(["a1"], [P], {"a1": []}, {P: ["a1"]})),
+     NonMutualEdge, f"program {CUT_P} lists a1, but a1 does not list {CUT_P}"),
+    (lambda: validate(SmfqInstance([A], ["p1"], {A: ["p1", "p1"]}, {"p1": [A]})),
+     DuplicateInList, f"agent {CUT_A} repeats an entry in its preference list"),
+    (lambda: validate(SmfqInstance(["a1", "a2"], [P], {"a1": [P], "a2": [P]}, {P: ["a1", "a2", "a1"]})),
+     DuplicateInList, f"program {CUT_P} repeats an entry in its preference list"),
+    (lambda: validate(SmfqInstance([A], ["p1"], {A: []}, {"p1": []})),
+     EmptyAgentList, f"agent {CUT_A} has an empty preference list"),
+    (lambda: validate(SmfqInstance(["a1"], [P], {"a1": [P]}, {P: ["a1"]}, {P: -1})),
+     NegativeCost, f"program {CUT_P} has cost -1; costs must be non-negative integers"),
+    (lambda: validate(HrInstance(["a1"], [P], {"a1": [P]}, {P: ["a1"]}, quota={P: 0})),
+     ZeroQuota, f"program {CUT_P} has quota 0; quotas must be positive integers"),
+    (lambda: is_envy_free(SmfqInstance([A], ["p1", P], {A: ["p1"]}, {"p1": [A], P: []}),
+                          Matching({A: P})),
+     ValueError, f"matching assigns {CUT_A} to {CUT_P}, which is not on its list"),
+    (lambda: is_hr_stable(HrInstance(["a1", "a2"], [P], {"a1": [P], "a2": [P]}, {P: ["a1", "a2"]},
+                                     quota={P: 1}), Matching({"a1": P, "a2": P})),
+     QuotaViolated, f"program {CUT_P} holds 2 agents but has quota 1"),
+    (lambda: SetCoverInstance(sets={A: ["e1", P]}, elements=["e1"], f=1),
+     ValueError, f"set {CUT_A} mentions unknown element {CUT_P}"),
+    (lambda: GraphInstance(vertices=["v1"], edges=[("v1", P)]),
+     ValueError, f"edge (v1, {CUT_P}) uses an undeclared vertex"),
+], ids=["agent-side-edge", "program-side-edge", "agent-repeats", "program-repeats", "empty-list",
+        "negative-cost", "zero-quota", "unacceptable-assignment", "over-quota", "unknown-element",
+        "undeclared-vertex"])
+def test_a_long_id_is_cut_in_every_message_that_names_it(check, error, message):
+    assert str(pytest.raises(error, check).value) == message
+
+
 # ---------------------------------------------------------------------------
 # ranks and acceptability
 
