@@ -31,7 +31,7 @@ from .approx import approx_promote, approx_restrict, approx_via_minmax, lower_bo
 from .budget import node_budget
 from .errors import BudgetExceeded, ParseError, ValidationError
 from .extension import compute_extendable, min_cost_extension, min_deviation_extension
-from .fileio import (format_matching, parse_cost_file, parse_graph,
+from .fileio import (format_matching, format_value, parse_cost_file, parse_graph,
                      parse_instance, parse_matching, parse_set_cover,
                      serialize_instance)
 from .generators import (bench_instance, gen_example1, gen_example2, gen_fig1,
@@ -48,10 +48,6 @@ from .oracle import oracle_minmax, oracle_minsum, oracle_optima
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _emit_report(instance, report: SolveReport) -> int:
@@ -86,8 +82,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     matching = parse_matching(_read(args.matching), instance)
     verdict = is_envy_free(instance, matching)
     sys.stdout.write(
-        f"a_perfect={_bool(is_a_perfect(instance, matching))}\n"
-        f"envy_free={_bool(verdict.ok)}\n"
+        f"a_perfect={format_value(is_a_perfect(instance, matching))}\n"
+        f"envy_free={format_value(verdict.ok)}\n"
         f"total_cost={total_cost(instance, matching)}\n"
         f"max_cost={max_cost(instance, matching)}\n")
     return 0

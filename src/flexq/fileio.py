@@ -244,7 +244,9 @@ def parse_matching(text: str, instance: SmfqInstance) -> Matching:
     return Matching(assignment)
 
 
-def _fmt_value(value) -> str:
+def format_value(value) -> str:
+    """A value as every ``key=value`` line prints it: a bool as ``true`` or
+    ``false``, anything else as ``str`` gives it."""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -255,7 +257,7 @@ def format_matching(instance: SmfqInstance, matching: Matching,
     """Emit a matching file: one line per agent plus ``# key=value`` trailers."""
     out = [f"{a} -> {matching.assignment.get(a, '-')}" for a in instance.agents]
     for key, value in notes or []:
-        out.append(f"# {key}={_fmt_value(value)}")
+        out.append(f"# {key}={format_value(value)}")
     return "\n".join(out) + "\n"
 
 
