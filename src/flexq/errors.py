@@ -4,11 +4,9 @@ an identifier or token in their messages short."""
 from __future__ import annotations
 
 
-def clipped(text, show=str) -> str:
+def clipped(text: str, show=str) -> str:
     """``show(text)``; over 40 characters, ``show`` of the first 40 plus the
-    length, so that an error message naming any input stays one short line.
-    ``text`` is an id or an input token; any other object is read as ``str(text)``."""
-    text = str(text)
+    length, so that an error message naming any input stays one short line."""
     return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
 
 
