@@ -251,6 +251,16 @@ def test_generated_bytes_are_pinned():
          "41fe8b4f6194d0748e2d7b0e414e5bc77ee44d514cb024915beab06d279b89e8"),
         (gen_random_hr(500, 30, 6, 9, 10, 1),
          "f9975e20dec7900d4bc6e54ff43593582c0730508db51cd711e684ff48192531"),
+        # lists of 10 drawn from 85 programs take sample's pool branch, from 86 its set branch
+        (gen_random(200, 85, 10, 9, 1),
+         "ae188c8c6f134bcfff9f0a0d86881f0d9ed6c84d04b1a2380ad81e873b8bc639"),
+        (gen_random(200, 86, 10, 9, 1),
+         "e2e6cee920bb5ea7f250b2075aba1e2baecdcfafdbf7435da34e4763568d0839"),
+        # the benchmark's 5,000-agent quota market and its 100-program master-list shape
+        (gen_random_hr(5000, 150, 10, 9, 40, 1),
+         "3699c8890aabadf8b2c0d332a57d94c212b21e298c7322a12096b905db4e1529"),
+        (gen_master_list(5000, 100, 10, 9, 1),
+         "27550c79fbbff19ae709f2d906097c5a5473b16227c10ca2d4beded76a462dcc"),
         (reduce_vertex_cover(petersen),
          "f0f0d6b68ad1928581bc448f249c0c3a1d2e30505034f89f87c2d37aa698f63c"),
     ):
