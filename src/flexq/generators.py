@@ -4,12 +4,16 @@ The fixed generators reproduce the small markets used throughout the test
 suite.  ``reduce_set_cover`` and ``reduce_vertex_cover`` embed covering
 problems into cost markets so that the optimal total spend encodes the
 optimal cover size; they back the hardness-oriented test suites.  The random
-generators are fully seeded and deterministic.
+generators are fully seeded and deterministic: they draw from
+``random.Random(seed).getrandbits`` with the standard library's own
+``randrange``, ``sample`` and ``shuffle`` algorithms, so a seed gives the same
+bytes on Python 3.10-3.13 as those methods would.
 """
 
 from __future__ import annotations
 
 import random
+from math import ceil, log
 
 from .errors import clipped
 from .model import HrInstance, Record, SmfqInstance
@@ -241,6 +245,79 @@ def _listers(agents: list[str], programs: list[str],
     return listers
 
 
+class _Draws:
+    """``random.Random(seed)``'s draws, number for number, without a Python call per draw.
+
+    The standard library's ``randrange``, ``randint``, ``sample`` and ``shuffle``
+    reduce to ``_randbelow(n)``: draw ``n.bit_length()`` bits with ``getrandbits``
+    until the value is below ``n``.  These methods repeat that loop and those
+    algorithms inline, so ``below(n)`` is ``randrange(n)`` (and ``a + below(b - a
+    + 1)`` is ``randint(a, b)``), ``samples`` is repeated ``sample`` and
+    ``shuffle`` is ``shuffle``, each consuming the same bits in the same order.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, seed: int):
+        self.bits = random.Random(seed).getrandbits
+
+    def below(self, n: int) -> int:
+        bits, k = self.bits, n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def samples(self, population: list[str], k: int, count: int) -> list[list[str]]:
+        """``count`` successive ``sample(population, k)`` draws, ``0 < k <= len(population)``."""
+        bits, n = self.bits, len(population)
+        # sample's own threshold: a list of n items is smaller than a set of k indices
+        if n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+            # pick from a pool, moving the last unpicked item into each vacancy
+            widths = [(w, w.bit_length()) for w in range(n, n - k, -1)]
+            out = []
+            for _ in range(count):
+                pool = population[:]
+                pick = []
+                for w, b in widths:
+                    j = bits(b)
+                    while j >= w:
+                        j = bits(b)
+                    pick.append(pool[j])
+                    pool[j] = pool[w - 1]
+                out.append(pick)
+            return out
+        # pick indices, redrawing those already picked
+        b, picks = n.bit_length(), range(k)
+        out = []
+        for _ in range(count):
+            seen = set()
+            pick = []
+            for _ in picks:
+                j = bits(b)
+                while j >= n or j in seen:
+                    j = bits(b)
+                seen.add(j)
+                pick.append(population[j])
+            out.append(pick)
+        return out
+
+    def shuffle(self, x: list) -> None:
+        """Fisher-Yates from the end, in place."""
+        bits = self.bits
+        i = len(x) - 1
+        while i > 0:
+            # the swaps i, i-1, ..., low all draw below i + 1 with the same bit count
+            b = (i + 1).bit_length()
+            low = (1 << b - 1) - 1
+            for i in range(i, low - 1, -1):
+                j = bits(b)
+                while j > i:
+                    j = bits(b)
+                x[i], x[j] = x[j], x[i]
+            i = low - 1
+
+
 def gen_random(n_agents: int, n_programs: int, list_len: int, cost_max: int, seed: int) -> SmfqInstance:
     """A seeded random market: every agent samples ``list_len`` programs.
 
@@ -250,12 +327,12 @@ def gen_random(n_agents: int, n_programs: int, list_len: int, cost_max: int, see
     arguments always produce identical instances.
     """
     agents, programs = _random_ids(n_agents, n_programs, list_len, cost_max)
-    rng = random.Random(seed)
-    agent_pref = {a: rng.sample(programs, list_len) for a in agents}
+    draws = _Draws(seed)
+    agent_pref = dict(zip(agents, draws.samples(programs, list_len, len(agents))))
     listers = _listers(agents, programs, agent_pref)
     for p in programs:
-        rng.shuffle(listers[p])
-    cost = {p: rng.randint(0, cost_max) for p in programs}
+        draws.shuffle(listers[p])
+    cost = {p: draws.below(cost_max + 1) for p in programs}
     return SmfqInstance(agents, programs, agent_pref, listers, cost)
 
 
@@ -267,17 +344,18 @@ def gen_master_list(n_agents: int, n_programs: int, list_len: int, cost_max: int
     rank their common entries identically.
     """
     agents, programs = _random_ids(n_agents, n_programs, list_len, cost_max)
-    rng = random.Random(seed)
+    draws = _Draws(seed)
     master_a = list(agents)
-    rng.shuffle(master_a)
+    draws.shuffle(master_a)
     master_p = list(programs)
-    rng.shuffle(master_p)
+    draws.shuffle(master_p)
     apos = {a: i for i, a in enumerate(master_a)}
     ppos = {p: i for i, p in enumerate(master_p)}
-    agent_pref = {a: sorted(rng.sample(programs, list_len), key=ppos.__getitem__) for a in agents}
+    agent_pref = {a: sorted(pick, key=ppos.__getitem__)
+                  for a, pick in zip(agents, draws.samples(programs, list_len, len(agents)))}
     listers = _listers(agents, programs, agent_pref)
     program_pref = {p: sorted(listers[p], key=apos.__getitem__) for p in programs}
-    cost = {p: rng.randint(0, cost_max) for p in programs}
+    cost = {p: draws.below(cost_max + 1) for p in programs}
     return SmfqInstance(agents, programs, agent_pref, program_pref, cost)
 
 
@@ -287,8 +365,8 @@ def gen_random_hr(n_agents: int, n_programs: int, list_len: int, cost_max: int,
     if quota_max < 1:
         raise ValueError("quota_max must be positive")
     base = gen_random(n_agents, n_programs, list_len, cost_max, seed)
-    rng = random.Random(seed ^ 0x5EED)
-    quota = {p: rng.randint(1, quota_max) for p in base.programs}
+    draws = _Draws(seed ^ 0x5EED)
+    quota = {p: 1 + draws.below(quota_max) for p in base.programs}
     return HrInstance(base.agents, base.programs, base.agent_pref, base.program_pref,
                       base.cost, quota=quota)
 
@@ -299,20 +377,20 @@ def gen_random_hr(n_agents: int, n_programs: int, list_len: int, cost_max: int,
 
 def bench_instance(seed: int) -> SmfqInstance:
     """Small random cost market for the cross-check sweeps (seeded)."""
-    rng = random.Random(seed)
-    n_agents = rng.randint(1, 6)
-    n_programs = rng.randint(1, 5)
-    list_len = rng.randint(1, min(4, n_programs))
-    cost_max = rng.randint(0, 9)
-    return gen_random(n_agents, n_programs, list_len, cost_max, seed=rng.randrange(1 << 30))
+    draws = _Draws(seed)
+    n_agents = 1 + draws.below(6)
+    n_programs = 1 + draws.below(5)
+    list_len = 1 + draws.below(min(4, n_programs))
+    cost_max = draws.below(10)
+    return gen_random(n_agents, n_programs, list_len, cost_max, seed=draws.below(1 << 30))
 
 
 def bench_hr_instance(seed: int) -> HrInstance:
     """Small random quota market for the two-round sweeps (seeded)."""
-    rng = random.Random(seed)
-    n_agents = rng.randint(1, 6)
-    n_programs = rng.randint(1, 5)
-    list_len = rng.randint(1, min(4, n_programs))
-    quota_max = rng.randint(1, 3)
+    draws = _Draws(seed)
+    n_agents = 1 + draws.below(6)
+    n_programs = 1 + draws.below(5)
+    list_len = 1 + draws.below(min(4, n_programs))
+    quota_max = 1 + draws.below(3)
     return gen_random_hr(n_agents, n_programs, list_len, cost_max=9,
-                         quota_max=quota_max, seed=rng.randrange(1 << 30))
+                         quota_max=quota_max, seed=draws.below(1 << 30))

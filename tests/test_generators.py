@@ -26,6 +26,7 @@ from flexq import (
     serialize_instance,
     validate,
 )
+from flexq.generators import _Draws
 
 # ---------------------------------------------------------------------------
 # the worked examples
@@ -265,6 +266,36 @@ def test_generated_bytes_are_pinned():
          "f0f0d6b68ad1928581bc448f249c0c3a1d2e30505034f89f87c2d37aa698f63c"),
     ):
         assert hashlib.sha256(serialize_instance(inst).encode("utf-8")).hexdigest() == digest
+
+
+def test_draws_repeat_the_standard_library_streams():
+    # the generators' draw helper must consume getrandbits exactly as random.Random's own
+    # methods do on the running interpreter; each case ends with one more draw on both sides,
+    # so a helper that draws the same values but a different number of bits also fails.
+    # sample switches from its pool to its index set above n = 21 for k <= 5, 85 for
+    # k = 6..21 and 277 for k = 22..85; the shapes sit on both sides of each switch
+    def same_stream(seed, draw_std, draw_ours):
+        std, ours = random.Random(seed), _Draws(seed)
+        assert draw_ours(ours) == draw_std(std), seed
+        assert ours.below(1 << 30) == std.randrange(1 << 30), seed
+
+    def shuffled(shuffle, n):
+        x = list(range(n))
+        shuffle(x)
+        return x
+
+    for k, edge in ((1, 21), (2, 21), (5, 21), (6, 85), (10, 85), (21, 85), (22, 277)):
+        for n in (max(k, edge - 1), edge, edge + 1, edge + 2):
+            population = [f"p{j}" for j in range(n)]
+            for seed in range(12):
+                same_stream(seed, lambda r: [r.sample(population, k) for _ in range(3)],
+                            lambda d: d.samples(population, k, 3))
+    for n in range(401):
+        same_stream(n, lambda r: shuffled(r.shuffle, n), lambda d: shuffled(d.shuffle, n))
+    widths = [1] + [w for j in range(1, 41) for w in (1 << j, (1 << j) + 1)]
+    for seed in range(3):
+        same_stream(seed, lambda r: [r.randrange(w) for w in widths for _ in range(4)],
+                    lambda d: [d.below(w) for w in widths for _ in range(4)])
 
 
 def test_sweep_families_stay_inside_their_advertised_bounds():
