@@ -1,13 +1,21 @@
-"""Exception types shared across the package, and the one helper that keeps
-an identifier or token in their messages short."""
+"""Exception types shared across the package, and the two helpers that keep
+an identifier, token or value in their messages short."""
 
 from __future__ import annotations
 
 
-def clipped(text: str, show=str) -> str:
-    """``show(text)``; over 40 characters, ``show`` of the first 40 plus the
-    length, so that an error message naming any input stays one short line."""
-    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
+def clipped(text: str, show=str, width: int = 40) -> str:
+    """``show(text)``; over ``width`` characters, ``show`` of the first ``width``
+    plus the length, so that an error message naming any input stays one short line."""
+    return show(text) if len(text) <= width else f"{show(text[:width])}... ({len(text)} characters)"
+
+
+def shown(value) -> str:
+    """``repr(value)`` clipped at 24 characters; an int beyond 64 bits, whose digits
+    may be too many to print, shows as its sign and bit length instead."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
+    return clipped(value, repr, 24) if isinstance(value, str) else clipped(repr(value), width=24)
 
 
 class FlexqError(Exception):

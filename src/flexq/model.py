@@ -24,6 +24,7 @@ from .errors import (
     QuotaViolated,
     ZeroQuota,
     clipped,
+    shown,
 )
 
 
@@ -229,13 +230,13 @@ def validate(instance: SmfqInstance) -> None:
     for p in instance.programs:
         c = instance.cost[p]
         if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-            raise NegativeCost(f"program {clipped(p)} has cost {c!r}; costs must be non-negative integers")
+            raise NegativeCost(f"program {clipped(p)} has cost {shown(c)}; costs must be non-negative integers")
 
     if isinstance(instance, HrInstance):
         for p in instance.programs:
             q = instance.quota[p]
             if isinstance(q, bool) or not isinstance(q, int) or q < 1:
-                raise ZeroQuota(f"program {clipped(p)} has quota {q!r}; quotas must be positive integers")
+                raise ZeroQuota(f"program {clipped(p)} has quota {shown(q)}; quotas must be positive integers")
 
 
 def _check_assigned_acceptable(instance: SmfqInstance, matching: Matching) -> None:

@@ -116,6 +116,11 @@ def test_min_cost_extension_validates_its_price_table():
     # with several bad prices, the first program in instance order is named
     with pytest.raises(NegativeCost, match="program p1 "):
         min_cost_extension(ctx, {"p1": -1, "p2": -2})
+    # a price too long to print whole is still named in one short line
+    for price in (-10**5000, "c" * 10_000):
+        with pytest.raises(NegativeCost, match="program p1 ") as err:
+            min_cost_extension(ctx, {"p1": price, "p2": 1})
+        assert len(str(err.value)) < 120
 
 
 def test_a_missing_price_names_a_long_program_id_cut():

@@ -143,20 +143,26 @@ def test_validate_rejects_empty_agent_list():
         validate(inst)
 
 
-@pytest.mark.parametrize("bad", [-1, True, 1.5])
+# a value too long to print whole (an int past Python's 4,300-digit str limit, a
+# 10,000-character string) still raises the right class, in one line under 120 characters
+@pytest.mark.parametrize("bad", [-1, True, 1.5, pytest.param(-10**5000, id="huge"),
+                                 pytest.param("c" * 10_000, id="long-str")])
 def test_validate_rejects_non_natural_costs(bad):
     inst = SmfqInstance(["a1"], ["p1"], {"a1": ["p1"]}, {"p1": ["a1"]},
                         {"p1": bad})
-    with pytest.raises(NegativeCost):
+    with pytest.raises(NegativeCost) as err:
         validate(inst)
+    assert len(str(err.value)) < 120 and "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize("quota", [{}, {"p1": 0}, {"p1": -2}])
+@pytest.mark.parametrize("quota", [{}, {"p1": 0}, {"p1": -2}, pytest.param({"p1": -10**5000}, id="huge"),
+                                   pytest.param({"p1": "q" * 10_000}, id="long-str")])
 def test_validate_rejects_missing_or_nonpositive_quota(quota):
     inst = HrInstance(["a1"], ["p1"], {"a1": ["p1"]}, {"p1": ["a1"]},
                       {"p1": 1}, quota=quota)
-    with pytest.raises(ZeroQuota):
+    with pytest.raises(ZeroQuota) as err:
         validate(inst)
+    assert len(str(err.value)) < 120 and "\n" not in str(err.value)
 
 
 # 10,000-character ids: every message that names an id shows its first 40
