@@ -91,10 +91,6 @@ def solve_minsum_exact(
     max_nodes, over_budget = node_budget(budget)
     agents = instance.agents
     pref, arank, prank, cost = instance.agent_pref, instance.arank, instance.prank, instance.cost
-    index = {a: i for i, a in enumerate(agents)}
-    pairs = {p: [(index[x], 1 << arank[x][p]) for x in lst]
-             for p, lst in instance.program_pref.items()}
-    ahead = [[(pairs[p], prank[p][a] + 1) for p in pref[a]] for a in agents]
     # per agent, each cost level ascending with the mask of its list positions
     levels = []
     for a in agents:
@@ -105,17 +101,21 @@ def solve_minsum_exact(
     # the branching agents, each with its levels descending: children are pushed in that
     # order, so they are popped in ascending order
     branch = [(i, lv[::-1]) for i, lv in enumerate(levels) if len(lv) > 1]
+    if branch:
+        index = {a: i for i, a in enumerate(agents)}
+        pairs = {p: [(index[x], 1 << arank[x][p]) for x in lst]
+                 for p, lst in instance.program_pref.items()}
+        ahead = [[(pairs[p], prank[p][a] + 1) for p in pref[a]] for a in agents]
+        limit = min(approx_promote(instance).objective, approx_restrict(instance).objective) + 1
+    else:  # the root is the one leaf: nothing to prune, and nothing can be cut
+        limit = float("inf")
 
-    # with no agent to branch on, the root is the one leaf and nothing can be cut
-    limit = (min(approx_promote(instance).objective, approx_restrict(instance).objective) + 1
-             if branch else float("inf"))
     best: dict[str, str] | None = None
     nodes = leaves = 0
-    root = [(1 << len(pref[a])) - 1 for a in agents]
-    stack = []
-    if _prune(root, ahead, list(range(len(agents)))) is not None:
-        floor = [next(c for c, lm in lv if m & lm) for lv, m in zip(levels, root)]
-        stack.append((0, root, floor, sum(floor)))
+    # at the all-ones root every agent tops out at its first program, which prunes
+    # nothing, so each agent's cheapest level is its lowest
+    floor = [lv[0][0] for lv in levels]
+    stack = [(0, [(1 << len(pref[a])) - 1 for a in agents], floor, sum(floor))]
     while stack:
         depth, masks, floor, lb = stack.pop()
         if lb >= limit:
