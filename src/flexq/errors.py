@@ -11,11 +11,17 @@ def clipped(text: str, show=str, width: int = 40) -> str:
 
 
 def shown(value) -> str:
-    """``repr(value)`` clipped at 24 characters; an int beyond 64 bits, whose digits
-    may be too many to print, shows as its sign and bit length instead."""
+    """``repr(value)`` clipped at 24 characters.  An int beyond 64 bits, whose digits
+    may be too many to print, shows as its sign and bit length instead, and a value
+    whose repr fails on such an int (a list holding one) as its type name."""
     if isinstance(value, int) and value.bit_length() > 64:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
-    return clipped(value, repr, 24) if isinstance(value, str) else clipped(repr(value), width=24)
+    if isinstance(value, str):
+        return clipped(value, repr, 24)
+    try:
+        return clipped(repr(value), width=24)
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        return f"<{type(value).__name__}>"
 
 
 class FlexqError(Exception):

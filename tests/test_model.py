@@ -146,7 +146,8 @@ def test_validate_rejects_empty_agent_list():
 # a value too long to print whole (an int past Python's 4,300-digit str limit, a
 # 10,000-character string) still raises the right class, in one line under 120 characters
 @pytest.mark.parametrize("bad", [-1, True, 1.5, pytest.param(-10**5000, id="huge"),
-                                 pytest.param("c" * 10_000, id="long-str")])
+                                 pytest.param("c" * 10_000, id="long-str"),
+                                 pytest.param([-10**5000], id="holds-huge")])
 def test_validate_rejects_non_natural_costs(bad):
     inst = SmfqInstance(["a1"], ["p1"], {"a1": ["p1"]}, {"p1": ["a1"]},
                         {"p1": bad})
