@@ -246,7 +246,7 @@ def _listers(agents: list[str], programs: list[str],
 
 
 class _Draws:
-    """``random.Random(seed)``'s draws, number for number, without a Python call per draw.
+    """``random.Random(seed)``'s draws, number for number, without a Python frame per draw.
 
     The standard library's ``randrange``, ``randint``, ``sample`` and ``shuffle``
     reduce to ``_randbelow(n)``: draw ``n.bit_length()`` bits with ``getrandbits``
