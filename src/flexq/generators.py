@@ -271,11 +271,11 @@ class _Draws:
     def samples(self, population: list[str], k: int, count: int) -> list[list[str]]:
         """``count`` successive ``sample(population, k)`` draws, ``0 < k <= len(population)``."""
         bits, n = self.bits, len(population)
+        out = []
         # sample's own threshold: a list of n items is smaller than a set of k indices
         if n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
             # pick from a pool, moving the last unpicked item into each vacancy
             widths = [(w, w.bit_length()) for w in range(n, n - k, -1)]
-            out = []
             for _ in range(count):
                 pool = population[:]
                 pick = []
@@ -286,20 +286,19 @@ class _Draws:
                     pick.append(pool[j])
                     pool[j] = pool[w - 1]
                 out.append(pick)
-            return out
-        # pick indices, redrawing those already picked
-        b, picks = n.bit_length(), range(k)
-        out = []
-        for _ in range(count):
-            seen = set()
-            pick = []
-            for _ in picks:
-                j = bits(b)
-                while j >= n or j in seen:
+        else:
+            # pick indices, redrawing those already picked
+            b, picks = n.bit_length(), range(k)
+            for _ in range(count):
+                seen = set()
+                pick = []
+                for _ in picks:
                     j = bits(b)
-                seen.add(j)
-                pick.append(population[j])
-            out.append(pick)
+                    while j >= n or j in seen:
+                        j = bits(b)
+                    seen.add(j)
+                    pick.append(population[j])
+                out.append(pick)
         return out
 
     def shuffle(self, x: list) -> None:
