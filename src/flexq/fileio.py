@@ -199,17 +199,14 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
 def serialize_instance(instance: SmfqInstance) -> str:
     """Emit the canonical text form; parses back to an equal instance."""
     is_hr = isinstance(instance, HrInstance)
+    agent_pref, program_pref, cost = instance.agent_pref, instance.program_pref, instance.cost
+    heads = ([f"{p} cost={cost[p]} quota={instance.quota[p]}" for p in instance.programs] if is_hr
+             else [f"{p} cost={cost[p]}" for p in instance.programs])
     out = ["hr 1" if is_hr else "smfq 1", "[agents]"]
-    for a in instance.agents:
-        lst = instance.agent_pref[a]
-        out.append(f"{a}: {' '.join(lst)}" if lst else f"{a}:")
+    out += [f"{a}: {' '.join(lst)}" if (lst := agent_pref[a]) else f"{a}:" for a in instance.agents]
     out.append("[programs]")
-    for p in instance.programs:
-        attrs = f"cost={instance.cost[p]}"
-        if is_hr:
-            attrs += f" quota={instance.quota[p]}"
-        lst = instance.program_pref[p]
-        out.append(f"{p} {attrs}: {' '.join(lst)}" if lst else f"{p} {attrs}:")
+    out += [f"{h}: {' '.join(lst)}" if (lst := program_pref[p]) else f"{h}:"
+            for h, p in zip(heads, instance.programs)]
     return "\n".join(out) + "\n"
 
 

@@ -235,13 +235,13 @@ def _random_ids(n_agents: int, n_programs: int, list_len: int, cost_max: int) ->
     return [f"a{i}" for i in range(1, n_agents + 1)], [f"p{j}" for j in range(1, n_programs + 1)]
 
 
-def _listers(agents: list[str], programs: list[str],
-             agent_pref: dict[str, list[str]]) -> dict[str, list[str]]:
-    """Each program's listing agents, in agent order."""
-    listers: dict[str, list[str]] = {p: [] for p in programs}
-    for a in agents:
-        for p in agent_pref[a]:
-            listers[p].append(a)
+def _listers(sources: list[str], targets: list[str],
+             pref: dict[str, list[str]]) -> dict[str, list[str]]:
+    """Each target's listing sources, in the order of ``sources``: the transpose of ``pref``."""
+    listers: dict[str, list[str]] = {t: [] for t in targets}
+    for s in sources:
+        for t in pref[s]:
+            listers[t].append(s)
     return listers
 
 
@@ -287,16 +287,17 @@ class _Draws:
                     pool[j] = pool[w - 1]
                 out.append(pick)
         else:
-            # pick indices, redrawing those already picked
+            # pick indices, redrawing those already picked or past the end: each b-bit value
+            # holds the last sample that took it, and the values >= n are taken by every sample
             b, picks = n.bit_length(), range(k)
-            for _ in range(count):
-                seen = set()
+            taken = [0] * n + [count + 1] * ((1 << b) - n)
+            for c in range(1, count + 1):
                 pick = []
                 for _ in picks:
                     j = bits(b)
-                    while j >= n or j in seen:
+                    while taken[j] >= c:
                         j = bits(b)
-                    seen.add(j)
+                    taken[j] = c
                     pick.append(population[j])
                 out.append(pick)
         return out
@@ -340,7 +341,9 @@ def gen_master_list(n_agents: int, n_programs: int, list_len: int, cost_max: int
 
     One master order over agents and one over programs are drawn; every
     preference list is the induced sublist, so any two lists on the same side
-    rank their common entries identically.
+    rank their common entries identically.  No list is sorted: each program's
+    list is built by taking the agents in master order, and each agent's by
+    taking the programs in master order (a transposition each way).
     """
     agents, programs = _random_ids(n_agents, n_programs, list_len, cost_max)
     draws = _Draws(seed)
@@ -348,12 +351,9 @@ def gen_master_list(n_agents: int, n_programs: int, list_len: int, cost_max: int
     draws.shuffle(master_a)
     master_p = list(programs)
     draws.shuffle(master_p)
-    apos = {a: i for i, a in enumerate(master_a)}
-    ppos = {p: i for i, p in enumerate(master_p)}
-    agent_pref = {a: sorted(pick, key=ppos.__getitem__)
-                  for a, pick in zip(agents, draws.samples(programs, list_len, len(agents)))}
-    listers = _listers(agents, programs, agent_pref)
-    program_pref = {p: sorted(listers[p], key=apos.__getitem__) for p in programs}
+    picks = dict(zip(agents, draws.samples(programs, list_len, len(agents))))
+    program_pref = _listers(master_a, programs, picks)
+    agent_pref = _listers(master_p, agents, program_pref)
     cost = {p: draws.below(cost_max + 1) for p in programs}
     return SmfqInstance(agents, programs, agent_pref, program_pref, cost)
 

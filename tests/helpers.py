@@ -8,6 +8,7 @@ helpers and the library is meaningful evidence, not circularity.
 from __future__ import annotations
 
 import itertools
+import random
 
 from flexq import HrInstance, Matching, SmfqInstance, distinct_costs_per_agent
 
@@ -361,3 +362,25 @@ def remove_agent(instance: SmfqInstance, agent: str) -> SmfqInstance:
                           program_pref, cost, quota=dict(instance.quota))
     return SmfqInstance(agents, list(instance.programs), agent_pref,
                         program_pref, cost)
+
+
+def master_list_reference(n_agents: int, n_programs: int, list_len: int, cost_max: int,
+                          seed: int) -> SmfqInstance:
+    """``gen_master_list`` by its definition, from ``random.Random(seed)``'s own methods.
+
+    Draw the master orders with ``shuffle``, each agent's programs with ``sample``
+    and the costs with ``randrange``, the draws the generator repeats; then sort
+    every agent's picks by the program order and every program's listers by the
+    agent order.
+    """
+    rng = random.Random(seed)
+    agents = [f"a{i}" for i in range(1, n_agents + 1)]
+    programs = [f"p{j}" for j in range(1, n_programs + 1)]
+    master_a, master_p = list(agents), list(programs)
+    rng.shuffle(master_a)
+    rng.shuffle(master_p)
+    agent_pref = {a: sorted(rng.sample(programs, list_len), key=master_p.index) for a in agents}
+    program_pref = {p: sorted((a for a in agents if p in agent_pref[a]), key=master_a.index)
+                    for p in programs}
+    cost = {p: rng.randrange(cost_max + 1) for p in programs}
+    return SmfqInstance(agents, programs, agent_pref, program_pref, cost)

@@ -229,6 +229,16 @@ def test_master_list_markets_follow_two_global_orders():
     assert gen_master_list(6, 5, 3, 9, seed=3) == gen_master_list(6, 5, 3, 9, seed=3)
 
 
+def test_master_list_markets_match_their_sorted_definition():
+    # the generator transposes the lists in master order; the reference draws the same stream
+    # from random.Random and sorts, on both sides of sample's pool/index-set switch (85/86
+    # programs for lists of 10), complete lists, one agent and one program
+    for shape in ((40, 85, 10, 9), (40, 86, 10, 9), (12, 7, 7, 9), (1, 9, 4, 9), (15, 1, 1, 9)):
+        for seed in range(200):
+            assert gen_master_list(*shape, seed) == helpers.master_list_reference(*shape, seed), \
+                (shape, seed)
+
+
 def test_random_quota_markets_are_valid():
     for seed in range(40):
         inst = gen_random_hr(5, 4, 3, 7, quota_max=3, seed=seed)
@@ -286,6 +296,14 @@ def test_draws_repeat_the_standard_library_streams():
 
     for k, edge in ((1, 21), (2, 21), (5, 21), (6, 85), (10, 85), (21, 85), (22, 277)):
         for n in (max(k, edge - 1), edge, edge + 1, edge + 2):
+            population = [f"p{j}" for j in range(n)]
+            for seed in range(12):
+                same_stream(seed, lambda r: [r.sample(population, k) for _ in range(3)],
+                            lambda d: d.samples(population, k, 3))
+    # on the index-set branch, samples keeps a table of all n.bit_length()-bit values, with those
+    # >= n taken from the start: one value is past the end at n = 2**b - 1, half of them at 2**b
+    for k, sizes in ((10, (127, 128, 129, 255, 256, 257)), (22, (511, 512, 513))):
+        for n in sizes:
             population = [f"p{j}" for j in range(n)]
             for seed in range(12):
                 same_stream(seed, lambda r: [r.sample(population, k) for _ in range(3)],
