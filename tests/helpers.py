@@ -364,6 +364,10 @@ def remove_agent(instance: SmfqInstance, agent: str) -> SmfqInstance:
                         program_pref, cost)
 
 
+# ---------------------------------------------------------------------------
+# reference generators
+
+
 def master_list_reference(n_agents: int, n_programs: int, list_len: int, cost_max: int,
                           seed: int) -> SmfqInstance:
     """``gen_master_list`` by its definition, from ``random.Random(seed)``'s own methods.
