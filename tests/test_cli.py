@@ -10,6 +10,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -345,7 +347,8 @@ def test_bench_sweep_output_is_pinned(capsys):
         "88310909319db09dddea711b87176df2e6bfe00207b42b7641648508be7edb96")
 
 
-def test_bench_flags_each_disagreement_and_exits_4(capsys, monkeypatch):
+def _break_exact_and_promote(monkeypatch):
+    """Make every bench row flag two disagreements."""
     real_exact, real_promote = flexq.cli.solve_minsum_exact, flexq.cli.approx_promote
 
     def exact_one_over(instance, budget=None):
@@ -358,10 +361,160 @@ def test_bench_flags_each_disagreement_and_exits_4(capsys, monkeypatch):
                            rep.objective, rep.method, rep.stats)
     monkeypatch.setattr("flexq.cli.solve_minsum_exact", exact_one_over)
     monkeypatch.setattr("flexq.cli.approx_promote", promote_one_short)
+
+
+def test_bench_flags_each_disagreement_and_exits_4(capsys, monkeypatch):
+    _break_exact_and_promote(monkeypatch)
     code, out, _ = run(capsys, "bench", "--suite", "small", "--seeds", "3")
     _, *rows, trailer = out.splitlines()
     assert [row.split("\t")[-1] for row in rows] == ["exact!=oracle,promote:not-a-perfect"] * 3
     assert (code, trailer) == (4, "# violations=6")
+
+
+def test_bench_counts_the_disagreements_found_in_a_forked_range(capsys, monkeypatch):
+    # seeds 3..5 are the child's; a cut promote matching there may also show envy
+    _break_exact_and_promote(monkeypatch)
+    want = _sequential_bench(capsys, monkeypatch, 6)
+    _, *rows, trailer = want[1].splitlines()
+    flags = [row.split("\t")[-1].split(",") for row in rows]
+    assert all(f[:2] == ["exact!=oracle", "promote:not-a-perfect"] for f in flags)
+    assert (want[0], trailer) == (4, f"# violations={sum(map(len, flags))}")
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr("flexq.cli._workers", lambda seeds: 2)
+    assert run(capsys, "bench", "--suite", "small", "--seeds", "6") == want
+    assert len(forks) == 1 and _no_child_left()
+
+
+def _count_forks(monkeypatch) -> list:
+    """Record each os.fork call in the returned list."""
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _forbid_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("the sweep forked")
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _sequential_bench(capsys, monkeypatch, seeds: int) -> tuple[int, str, str]:
+    """The sweep as one in-process range, with every fork refused."""
+    with monkeypatch.context() as m:
+        m.setattr("flexq.cli._workers", lambda seeds: 1)
+        _forbid_forks(m)
+        return run(capsys, "bench", "--suite", "small", "--seeds", str(seeds))
+
+
+# above the per-range minimum, and a multiple of neither 2 nor 3
+UNEVEN_SEEDS = 203
+
+
+@pytest.mark.parametrize("seeds", [0, 1, 7, UNEVEN_SEEDS])
+def test_bench_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, seeds):
+    assert UNEVEN_SEEDS > flexq.cli._MIN_RANGE and UNEVEN_SEEDS % 2 and UNEVEN_SEEDS % 3
+    want = _sequential_bench(capsys, monkeypatch, seeds)
+    assert want[0] == 0 and want[1].endswith("# violations=0\n")
+    for workers in (2, 3):
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr("flexq.cli._workers", lambda seeds: workers)
+        assert run(capsys, "bench", "--suite", "small", "--seeds", str(seeds)) == want, workers
+        assert len(forks) == workers - 1 and _no_child_left()
+
+
+@pytest.mark.parametrize("bad", [7, 2])  # in the child's range 5..9, then in the process's own
+def test_bench_failure_in_any_range_reads_as_the_sequential_run(capsys, monkeypatch, bad):
+    seeds, real_instance, real_minmax = [], flexq.cli.bench_instance, flexq.cli.solve_minmax
+
+    def recorded_instance(seed):
+        seeds.append(seed)
+        return real_instance(seed)
+
+    def failing_minmax(instance):
+        if seeds[-1] == bad:
+            raise AssertionError(f"synthetic failure at seed {bad}")
+        return real_minmax(instance)
+    monkeypatch.setattr("flexq.cli.bench_instance", recorded_instance)
+    monkeypatch.setattr("flexq.cli.solve_minmax", failing_minmax)
+    want = _sequential_bench(capsys, monkeypatch, 10)
+    assert want[0] == 4 and want[2] == f"internal invariant violated: synthetic failure at seed {bad}\n"
+    assert want[1].splitlines()[-1].startswith(f"{bad - 1}\t")
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr("flexq.cli._workers", lambda seeds: 2)
+    assert run(capsys, "bench", "--suite", "small", "--seeds", "10") == want
+    assert len(forks) == 1 and _no_child_left()
+
+
+def test_bench_stops_its_children_when_interrupted(capsys, monkeypatch):
+    # the children stall, so only a kill ends them before the interrupt propagates
+    parent = os.getpid()
+
+    def interrupted(instance):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+    monkeypatch.setattr("flexq.cli.solve_minmax", interrupted)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr("flexq.cli._workers", lambda seeds: 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli(["bench", "--suite", "small", "--seeds", "30"])
+    capsys.readouterr()
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2 and _no_child_left()
+
+
+def test_bench_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    workers, least = flexq.cli._workers, flexq.cli._MIN_RANGE
+    assert [workers(k) for k in (0, 20, least, 2 * least - 1, 2 * least, 3 * least + 1)] == [
+        1, 1, 1, 1, 2, 3]
+    assert workers(100 * least) == 8
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one range
+    assert workers(100 * least) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert workers(100 * least) == 4
+    monkeypatch.delattr(os, "fork")
+    assert workers(100 * least) == 1
+
+
+def test_bench_does_not_fork_beside_another_thread(capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    seeds = 3 * flexq.cli._MIN_RANGE
+    assert flexq.cli._workers(seeds) == 3
+    want = _sequential_bench(capsys, monkeypatch, seeds)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert flexq.cli._workers(seeds) == 1
+        _forbid_forks(monkeypatch)
+        got = run(capsys, "bench", "--suite", "small", "--seeds", str(seeds))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert got == want and not thread.is_alive()
+
+
+def test_bench_sweeps_a_range_in_process_when_it_cannot_fork(capsys, monkeypatch):
+    want = _sequential_bench(capsys, monkeypatch, 9)
+
+    def out_of_processes():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", out_of_processes)
+    monkeypatch.setattr("flexq.cli._workers", lambda seeds: 3)
+    assert run(capsys, "bench", "--suite", "small", "--seeds", "9") == want
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +582,11 @@ def test_commands_run_with_the_collector_off_and_restore_its_state(capsys, fig1_
     assert seen == [False, False]
 
 
-def test_no_command_leaves_cyclic_garbage(capsys, fig1_h, fig1_g, tmp_path, collector):
-    # with the collector off a reference cycle would outlive its command, so none may be made
+def test_no_command_leaves_cyclic_garbage(capsys, fig1_h, fig1_g, tmp_path, collector,
+                                          monkeypatch):
+    # with the collector off a reference cycle would outlive its command, so none may be made;
+    # the 60-seed sweep is cut into two ranges, one of them swept by a forked child
+    monkeypatch.setattr("flexq.cli._workers", lambda seeds: 2 if seeds == 60 else 1)
     matching = tmp_path / "fig1H.out"
     cover = tmp_path / "cover.sc"
     cover.write_text("elements 3\nset s1: e1 e2\nset s2: e2 e3\nset s3: e1 e3\n")
@@ -445,7 +601,8 @@ def test_no_command_leaves_cyclic_garbage(capsys, fig1_h, fig1_g, tmp_path, coll
                  ("gen", "random", "--agents", "30", "--programs", "6", "--list-len", "3",
                   "--cost-max", "9", "--seed", "1"),
                  ("gen", "setcover", str(cover)),
-                 ("bench", "--suite", "small", "--seeds", "50")]
+                 ("bench", "--suite", "small", "--seeds", "50"),
+                 ("bench", "--suite", "small", "--seeds", "60")]
     gc.collect()
     gc.disable()
     for argv in commands:
@@ -586,13 +743,24 @@ def test_no_module_imports_a_private_name_from_another():
     assert found == []
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+def _loaded_by_importing_the_cli(names: set[str]) -> tuple[int, str, str]:
+    """Which of ``names`` a fresh ``python -S`` has loaded after ``import flexq.cli``."""
     # -S keeps site hooks, such as .pth files that preload typing, from hiding a regression
     src = str(Path(flexq.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import flexq.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            f"print(sorted(set({sorted(names)!r}) & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    assert _loaded_by_importing_the_cli({"dataclasses", "inspect", "typing"}) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_loads_no_process_or_thread_module():
+    # bench forks with os alone, and imports signal only to stop a child of a sweep cut short
+    names = {"concurrent", "multiprocessing", "pickle", "signal", "subprocess", "threading"}
+    assert _loaded_by_importing_the_cli(names) == (0, "[]\n", "")
 
 
 def test_console_entry_point(capsys, fig1_h, monkeypatch):
