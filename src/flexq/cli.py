@@ -122,7 +122,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
             raise ValueError("--costs prices round two only with --objective cost")
         report = min_deviation_extension(ctx)
     else:
-        costs = parse_cost_file(_read(args.costs)) if args.costs is not None else dict(instance.cost)
+        costs = parse_cost_file(_read(args.costs)) if args.costs is not None else instance.cost
         report = min_cost_extension(ctx, costs, budget=args.budget)
     return _emit_report(instance, report)
 

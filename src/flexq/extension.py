@@ -106,13 +106,9 @@ def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInsta
     for p in programs:
         if p not in cost:
             raise ValidationError(f"missing round-two cost for program {clipped(p)}")
-    inst = SmfqInstance(
-        agents=agents,
-        programs=programs,
-        agent_pref={a: list(adj[a]) for a in agents},
-        program_pref={p: sorted(takers[p], key=prank[p].__getitem__) for p in programs},
-        cost={p: cost[p] for p in programs},
-    )
+    # the constructor keeps only the matchable agents' lists and these programs' costs
+    inst = SmfqInstance(agents, programs, adj,
+                        {p: sorted(takers[p], key=prank[p].__getitem__) for p in programs}, cost)
     validate(inst)
     return inst
 
@@ -156,6 +152,6 @@ def min_cost_extension(ctx: ExtensionContext, prices: dict[str, int],
         # skip the solver (its root is one node, which budget 0 refuses), not the sign check
         node_budget(budget)
         return SolveReport(_merge(ctx, {}), 0, "extend-cost")
-    rep = solve_minsum_exact(_restricted_market(ctx, dict(prices)), budget=budget)
+    rep = solve_minsum_exact(_restricted_market(ctx, prices), budget=budget)
     return SolveReport(_merge(ctx, rep.matching.assignment), rep.objective, "extend-cost",
                        stats=rep.stats)

@@ -100,8 +100,8 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
 
     ids: dict[str, str] = {}  # the one object kept for each id; every key passed the id check
     canon = ids.setdefault
-    agent_pref: dict[str, list[str]] = {}
-    program_pref: dict[str, list[str]] = {}
+    agent_pref: dict[str, tuple[str, ...]] = {}
+    program_pref: dict[str, tuple[str, ...]] = {}
     cost: dict[str, int] = {}
     quota: dict[str, int] = {}
 
@@ -164,7 +164,9 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         h = canon(h, h)
         seen = len(ids)
         names = tail.split()
-        pref[h] = [*map(canon, names, names)]
+        # not tuple(map(...)): that grows a guessed-size tuple, and a process parsing
+        # file after file then kept gaining resident memory
+        pref[h] = (*map(canon, names, names),)
         if len(ids) != seen:  # only a list that names a new id needs the id check
             _ident_list(tail, lineno)
 
@@ -172,7 +174,7 @@ def parse_instance(text: str) -> SmfqInstance | HrInstance:
         raise ParseError("missing [programs] section")
 
     # the dicts keep declaration order, so their keys are the id lists
-    agents, programs = list(agent_pref), list(program_pref)
+    agents, programs = tuple(agent_pref), tuple(program_pref)
     if kind == "hr":
         instance: SmfqInstance = HrInstance(agents, programs, agent_pref, program_pref, cost, quota=quota)
     else:
@@ -217,7 +219,7 @@ def parse_matching(text: str, instance: SmfqInstance) -> Matching:
     acceptable to their agents.  Trailer comments are ignored.
     """
     assignment: dict[str, str] = {}
-    expected = list(instance.agents)
+    expected = instance.agents
     idx = 0
     for lineno, line in _meaningful_lines(text):
         m = _MATCH_LINE.match(line)

@@ -41,11 +41,8 @@ def gen_fig1() -> tuple[HrInstance, SmfqInstance]:
         "p2": ["a1", "a2", "a5", "a3", "a4"],
     }
     cost = {"p1": 1, "p2": 2}
-    h = SmfqInstance(list(agents), list(programs), {a: list(v) for a, v in agent_pref.items()},
-                     {p: list(v) for p, v in program_pref.items()}, dict(cost))
-    g = HrInstance(list(agents), list(programs), {a: list(v) for a, v in agent_pref.items()},
-                   {p: list(v) for p, v in program_pref.items()}, dict(cost),
-                   quota={"p1": 2, "p2": 1})
+    h = SmfqInstance(agents, programs, agent_pref, program_pref, cost)
+    g = HrInstance(agents, programs, agent_pref, program_pref, cost, quota={"p1": 2, "p2": 1})
     return g, h
 
 
@@ -63,7 +60,7 @@ def gen_fig2(n: int) -> SmfqInstance:
     last = agents[-1]
     agent_pref = {a: ["p1", "p0"] for a in agents[:-1]}
     agent_pref[last] = ["p1", "p2"]
-    program_pref = {"p0": agents[:-1], "p1": list(agents), "p2": [last]}
+    program_pref = {"p0": agents[:-1], "p1": agents, "p2": [last]}
     return SmfqInstance(agents, ["p0", "p1", "p2"], agent_pref, program_pref,
                         {"p0": 0, "p1": 1, "p2": n})
 
@@ -102,7 +99,7 @@ def gen_example2(n: int = 5, alpha: int = 100) -> SmfqInstance:
     agent_pref = {a: ["p2", "p3", "p1"] for a in bulk}
     agent_pref[second_last] = ["p2"]
     agent_pref[last] = ["p3"]
-    program_pref = {"p1": list(bulk), "p2": [second_last] + bulk, "p3": bulk + [last]}
+    program_pref = {"p1": bulk, "p2": [second_last] + bulk, "p3": bulk + [last]}
     return SmfqInstance(agents, ["p1", "p2", "p3"], agent_pref, program_pref,
                         {"p1": 1, "p2": 2, "p3": alpha})
 
@@ -214,7 +211,7 @@ def reduce_vertex_cover(g: GraphInstance) -> SmfqInstance:
         incident[u].append(ea)
         incident[v].append(ea)
 
-    program_pref = {cheap[v]: list(clones[v]) for v in g.vertices}
+    program_pref = {cheap[v]: clones[v] for v in g.vertices}
     program_pref.update({dear[v]: clones[v] + incident[v] for v in g.vertices})
     program_pref["p"] = [a for v in g.vertices for a in clones[v]]
 

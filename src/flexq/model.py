@@ -76,17 +76,20 @@ class SmfqInstance(Record):
     """A two-sided market with per-program costs and no quotas.
 
     ``agents`` and ``programs`` fix identifier order; every deterministic
-    iteration in the package follows these lists.  ``agent_pref[a]`` and
+    iteration in the package follows them.  ``agent_pref[a]`` and
     ``program_pref[p]`` are strict preference lists, most preferred first.
     Construction keeps one list and one cost per declared id, in order: a
-    missing list is ``[]``, a missing cost 0, undeclared keys are dropped.
-    The rank tables ``arank[a][p]`` and ``prank[p][a]`` give a name's
-    position on the other side's list (0 = most preferred; absent = not
-    listed).  Each is built from the normalized lists on first read and kept
-    on the instance; :func:`validate` reads both, while generating,
-    serializing and building a copy with the constructor read neither, so
-    they build none.  Equality and ``repr`` ignore them.  Instances are
-    treated as immutable values once constructed.
+    missing list is ``()``, a missing cost 0, undeclared keys are dropped.
+    The id and preference lists are stored as tuples, copied once from the
+    caller's sequences, so no list is shared with the caller and none can
+    change after construction; only rebinding a dict entry still can, and
+    is left to convention.  The rank tables ``arank[a][p]`` and
+    ``prank[p][a]`` give a name's position on the other side's list (0 =
+    most preferred; absent = not listed).  Each is built from the normalized
+    lists on first read and kept on the instance; :func:`validate` reads
+    both, while generating, serializing and building a copy with the
+    constructor read neither, so they build none.  Equality and ``repr``
+    ignore them.
     """
 
     _fields = ("agents", "programs", "agent_pref", "program_pref", "cost")
@@ -94,9 +97,10 @@ class SmfqInstance(Record):
     def __init__(self, agents: list[str], programs: list[str], agent_pref: dict[str, list[str]],
                  program_pref: dict[str, list[str]], cost: dict[str, int] | None = None):
         cost = cost or {}
+        agents, programs = tuple(agents), tuple(programs)
         self.agents, self.programs = agents, programs
-        self.agent_pref = {a: agent_pref.get(a, []) for a in agents}
-        self.program_pref = {p: program_pref.get(p, []) for p in programs}
+        self.agent_pref = {a: tuple(agent_pref.get(a, ())) for a in agents}
+        self.program_pref = {p: tuple(program_pref.get(p, ())) for p in programs}
         self.cost = {p: cost.get(p, 0) for p in programs}
 
     @_RankTable
@@ -112,7 +116,7 @@ class SmfqInstance(Record):
 
 
 class HrInstance(SmfqInstance):
-    """SmfqInstance plus a rigid per-program quota.
+    """SmfqInstance, tuples and normalization alike, plus a rigid per-program quota.
 
     Costs are optional here (default 0), so quota-only markets round-trip
     cleanly; quotas missing from the dict normalize to 0 and fail validation.

@@ -196,7 +196,7 @@ def envy_free_prefix_counts(instance: SmfqInstance) -> list[int]:
 
 def all_hr_stable_assignments(instance: HrInstance) -> list[dict[str, str]]:
     """Every stable partial assignment under quotas."""
-    lists = [instance.agent_pref[a] + [None] for a in instance.agents]
+    lists = [instance.agent_pref[a] + (None,) for a in instance.agents]
     out = []
     for combo in itertools.product(*lists):
         assignment = {a: p for a, p in zip(instance.agents, combo) if p is not None}

@@ -31,8 +31,10 @@ from flexq import (
     parse_set_cover,
     reduce_set_cover,
     serialize_instance,
+    solve_minmax,
 )
 from flexq.cli import cli, main
+from flexq.model import StabilityCheck
 
 
 @pytest.fixture()
@@ -283,7 +285,7 @@ def test_gen_random_is_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
-    assert parse_instance(first).agents == [f"a{i}" for i in range(1, 6)]
+    assert parse_instance(first).agents == tuple(f"a{i}" for i in range(1, 6))
 
 
 def test_gen_reductions_from_input_files(capsys, tmp_path):
@@ -347,28 +349,47 @@ def test_bench_sweep_output_is_pinned(capsys):
         "88310909319db09dddea711b87176df2e6bfe00207b42b7641648508be7edb96")
 
 
+def _one_over(solver):
+    """``solver`` with 1 added to the objective of each report."""
+    def one_over(*args, **kwargs):
+        rep = solver(*args, **kwargs)
+        return SolveReport(rep.matching, rep.objective + 1, rep.method, rep.stats)
+    return one_over
+
+
 def _break_exact_and_promote(monkeypatch):
     """Make every bench row flag two disagreements."""
-    real_exact, real_promote = flexq.cli.solve_minsum_exact, flexq.cli.approx_promote
-
-    def exact_one_over(instance, budget=None):
-        rep = real_exact(instance, budget)
-        return SolveReport(rep.matching, rep.objective + 1, rep.method, rep.stats)
+    real_promote = flexq.cli.approx_promote
 
     def promote_one_short(instance):
         rep = real_promote(instance)  # the first agent is left out
         return SolveReport(Matching(dict(list(rep.matching.assignment.items())[1:])),
                            rep.objective, rep.method, rep.stats)
-    monkeypatch.setattr("flexq.cli.solve_minsum_exact", exact_one_over)
+    monkeypatch.setattr("flexq.cli.solve_minsum_exact", _one_over(flexq.cli.solve_minsum_exact))
     monkeypatch.setattr("flexq.cli.approx_promote", promote_one_short)
 
 
 def test_bench_flags_each_disagreement_and_exits_4(capsys, monkeypatch):
-    _break_exact_and_promote(monkeypatch)
-    code, out, _ = run(capsys, "bench", "--suite", "small", "--seeds", "3")
-    _, *rows, trailer = out.splitlines()
-    assert [row.split("\t")[-1] for row in rows] == ["exact!=oracle,promote:not-a-perfect"] * 3
-    assert (code, trailer) == (4, "# violations=6")
+    real_total = flexq.cli.total_cost
+    # seeds 0..2 all have a positive optimal spend, so a lower bound of 0 breaks both
+    # ratio bounds; a spend of programs x via + 1 tops programs x optimum, since via >= optimum
+    cases = [
+        (_break_exact_and_promote, "exact!=oracle,promote:not-a-perfect"),
+        (lambda m: m.setattr("flexq.cli.solve_minmax", _one_over(flexq.cli.solve_minmax)),
+         "minmax!=oracle"),
+        (lambda m: m.setattr("flexq.cli.lower_bound_sum", lambda instance: 0),
+         "promote-bound,restrict-bound"),
+        (lambda m: m.setattr("flexq.cli.total_cost", lambda instance, matching:
+                             len(instance.programs) * real_total(instance, matching) + 1),
+         "viamax-bound"),
+    ]
+    for breaks, flags in cases:
+        with monkeypatch.context() as m:
+            breaks(m)
+            code, out, _ = run(capsys, "bench", "--suite", "small", "--seeds", "3")
+        _, *rows, trailer = out.splitlines()
+        assert [row.split("\t")[-1] for row in rows] == [flags] * 3
+        assert (code, trailer) == (4, f"# violations={3 * len(flags.split(','))}"), flags
 
 
 def test_bench_counts_the_disagreements_found_in_a_forked_range(capsys, monkeypatch):
@@ -537,6 +558,25 @@ def test_internal_invariant_violations_exit_4(capsys, fig1_h, monkeypatch):
     code, _, err = run(capsys, "solve", "minmax", fig1_h)
     assert code == 4
     assert "invariant" in err
+
+
+_GUARDS = [  # the patched name, its stand-in, the command and the guard's message
+    ("flexq.minsum.is_envy_free",
+     lambda instance, matching: StabilityCheck([(instance.agents[0], instance.programs[0])]),
+     ("solve", "minsum"), "a surviving cost tuple yielded an envious matching"),
+    ("flexq.minsum._prune", lambda masks, ahead, queue: None,
+     ("solve", "minsum"), "no cost tuple survived the search"),
+    ("flexq.extension.solve_minmax", _one_over(solve_minmax),
+     ("extend", "--objective", "deviation"), "largest overflow 1 differs from the solver's optimum 2"),
+]
+
+
+@pytest.mark.parametrize("name, stand_in, command, message", _GUARDS, ids=[g[0] for g in _GUARDS])
+def test_each_solver_guard_exits_4_with_one_line(capsys, fig1_g, monkeypatch,
+                                                 name, stand_in, command, message):
+    monkeypatch.setattr(name, stand_in)
+    # fig1's quota market: its costs make it a cost market too, and round one leaves agents out
+    assert run(capsys, *command, fig1_g) == (4, "", f"internal invariant violated: {message}\n")
 
 
 def test_commands_look_solvers_up_at_call_time(capsys, fig1_h, monkeypatch):

@@ -34,13 +34,13 @@ from flexq.generators import _Draws
 
 def test_canonical_pair_structure():
     g, h = gen_fig1()
-    assert h.agents == ["a1", "a2", "a3", "a4", "a5"]
-    assert h.programs == ["p1", "p2"]
-    assert h.agent_pref == {"a1": ["p1", "p2"], "a2": ["p2", "p1"],
-                            "a3": ["p2", "p1"], "a4": ["p2", "p1"],
-                            "a5": ["p2"]}
-    assert h.program_pref == {"p1": ["a2", "a4", "a1", "a3"],
-                              "p2": ["a1", "a2", "a5", "a3", "a4"]}
+    assert h.agents == ("a1", "a2", "a3", "a4", "a5")
+    assert h.programs == ("p1", "p2")
+    assert h.agent_pref == {"a1": ("p1", "p2"), "a2": ("p2", "p1"),
+                            "a3": ("p2", "p1"), "a4": ("p2", "p1"),
+                            "a5": ("p2",)}
+    assert h.program_pref == {"p1": ("a2", "a4", "a1", "a3"),
+                              "p2": ("a1", "a2", "a5", "a3", "a4")}
     assert h.cost == {"p1": 1, "p2": 2}
     assert g.quota == {"p1": 2, "p2": 1}
     assert g.cost == h.cost
@@ -52,11 +52,11 @@ def test_canonical_pair_structure():
 
 def test_tight_family_structure():
     inst = gen_fig2(4)
-    assert inst.agent_pref == {"a1": ["p1", "p0"], "a2": ["p1", "p0"],
-                               "a3": ["p1", "p0"], "a4": ["p1", "p2"]}
-    assert inst.program_pref == {"p0": ["a1", "a2", "a3"],
-                                 "p1": ["a1", "a2", "a3", "a4"],
-                                 "p2": ["a4"]}
+    assert inst.agent_pref == {"a1": ("p1", "p0"), "a2": ("p1", "p0"),
+                               "a3": ("p1", "p0"), "a4": ("p1", "p2")}
+    assert inst.program_pref == {"p0": ("a1", "a2", "a3"),
+                                 "p1": ("a1", "a2", "a3", "a4"),
+                                 "p2": ("a4",)}
     assert inst.cost == {"p0": 0, "p1": 1, "p2": 4}
     validate(inst)
     with pytest.raises(ValueError):
@@ -65,11 +65,11 @@ def test_tight_family_structure():
 
 def test_promotion_example_structure():
     inst = gen_example1(5, 100)
-    assert inst.agent_pref == {"a1": ["p2", "p1"], "a2": ["p2", "p1"],
-                               "a3": ["p2", "p1"], "a4": ["p2", "p1"],
-                               "a5": ["p2"]}
-    assert inst.program_pref == {"p1": ["a1", "a2", "a3", "a4"],
-                                 "p2": ["a5", "a4", "a3", "a2", "a1"]}
+    assert inst.agent_pref == {"a1": ("p2", "p1"), "a2": ("p2", "p1"),
+                               "a3": ("p2", "p1"), "a4": ("p2", "p1"),
+                               "a5": ("p2",)}
+    assert inst.program_pref == {"p1": ("a1", "a2", "a3", "a4"),
+                                 "p2": ("a5", "a4", "a3", "a2", "a1")}
     assert inst.cost == {"p1": 1, "p2": 100}
     validate(inst)
     for n, alpha in [(2, 100), (5, 2)]:
@@ -79,13 +79,13 @@ def test_promotion_example_structure():
 
 def test_restriction_example_structure():
     inst = gen_example2(5, 100)
-    assert inst.agent_pref == {"a1": ["p2", "p3", "p1"],
-                               "a2": ["p2", "p3", "p1"],
-                               "a3": ["p2", "p3", "p1"],
-                               "a4": ["p2"], "a5": ["p3"]}
-    assert inst.program_pref == {"p1": ["a1", "a2", "a3"],
-                                 "p2": ["a4", "a1", "a2", "a3"],
-                                 "p3": ["a1", "a2", "a3", "a5"]}
+    assert inst.agent_pref == {"a1": ("p2", "p3", "p1"),
+                               "a2": ("p2", "p3", "p1"),
+                               "a3": ("p2", "p3", "p1"),
+                               "a4": ("p2",), "a5": ("p3",)}
+    assert inst.program_pref == {"p1": ("a1", "a2", "a3"),
+                                 "p2": ("a4", "a1", "a2", "a3"),
+                                 "p3": ("a1", "a2", "a3", "a5")}
     assert inst.cost == {"p1": 1, "p2": 2, "p3": 100}
     validate(inst)
     for n, alpha in [(2, 100), (5, 2)]:
@@ -104,13 +104,13 @@ def small_cover() -> SetCoverInstance:
 
 def test_cover_embedding_structure():
     inst = reduce_set_cover(small_cover())
-    assert inst.agents == ["a_s1", "a_s2", "a_s3", "b_e1", "b_e2"]
-    assert inst.programs == ["p_s1", "p_s2", "p_s3", "p"]
-    assert inst.agent_pref["a_s1"] == ["p_s1", "p"]
-    assert inst.agent_pref["b_e1"] == ["p_s1", "p_s2"]
-    assert inst.agent_pref["b_e2"] == ["p_s2", "p_s3"]
-    assert inst.program_pref["p_s2"] == ["a_s2", "b_e1", "b_e2"]
-    assert inst.program_pref["p"] == ["a_s1", "a_s2", "a_s3"]
+    assert inst.agents == ("a_s1", "a_s2", "a_s3", "b_e1", "b_e2")
+    assert inst.programs == ("p_s1", "p_s2", "p_s3", "p")
+    assert inst.agent_pref["a_s1"] == ("p_s1", "p")
+    assert inst.agent_pref["b_e1"] == ("p_s1", "p_s2")
+    assert inst.agent_pref["b_e2"] == ("p_s2", "p_s3")
+    assert inst.program_pref["p_s2"] == ("a_s2", "b_e1", "b_e2")
+    assert inst.program_pref["p"] == ("a_s1", "a_s2", "a_s3")
     assert inst.cost == {"p_s1": 1, "p_s2": 1, "p_s3": 1, "p": 0}
     validate(inst)
 
@@ -123,8 +123,8 @@ def test_cover_embedding_with_three_occurrences_uses_fillers():
     sc = SetCoverInstance(sets={"s1": ["e1"], "s2": ["e1"], "s3": ["e1"]},
                           elements=["e1"], f=3)
     inst = reduce_set_cover(sc)
-    assert inst.programs == ["p_s1", "p_s2", "p_s3", "p", "q1"]
-    assert inst.agent_pref["a_s1"] == ["p_s1", "p", "q1"]
+    assert inst.programs == ("p_s1", "p_s2", "p_s3", "p", "q1")
+    assert inst.agent_pref["a_s1"] == ("p_s1", "p", "q1")
     assert inst.cost["q1"] == 1
     validate(inst)
     assert oracle_minsum(inst).objective == 1 + 1
@@ -171,10 +171,10 @@ def test_vertex_embedding_structure_and_objective():
     # one edge: 2 vertices, 1 edge, cover size 1 -> 2*1*2 + 3*1*1 = 7
     g = GraphInstance(vertices=["u", "v"], edges=[("u", "v")])
     inst = reduce_vertex_cover(g)
-    assert inst.programs == ["p_u", "p_v", "r_u", "r_v", "p"]
+    assert inst.programs == ("p_u", "p_v", "r_u", "r_v", "p")
     assert inst.cost == {"p_u": 3, "p_v": 3, "r_u": 4, "r_v": 4, "p": 0}
-    assert inst.agent_pref["a_u_1"] == ["p_u", "r_u", "p"]
-    assert inst.agent_pref["e1"] == ["r_u", "r_v"]
+    assert inst.agent_pref["a_u_1"] == ("p_u", "r_u", "p")
+    assert inst.agent_pref["e1"] == ("r_u", "r_v")
     validate(inst)
     assert oracle_minsum(inst).objective == 7
 

@@ -23,8 +23,15 @@ from flexq import (
     SmfqInstance,
     SolveReport,
     ZeroQuota,
+    bench_hr_instance,
     bench_instance,
+    compute_extendable,
+    gale_shapley_a_optimal,
+    gen_example1,
+    gen_example2,
     gen_fig1,
+    gen_fig2,
+    gen_master_list,
     gen_random,
     gen_random_hr,
     is_a_perfect,
@@ -33,11 +40,13 @@ from flexq import (
     max_cost,
     parse_instance,
     reduce_set_cover,
+    reduce_vertex_cover,
     serialize_instance,
     solve_minsum_exact,
     total_cost,
     validate,
 )
+from flexq.extension import _restricted_market
 from flexq.model import StabilityCheck
 
 
@@ -62,7 +71,7 @@ def test_cost_normalization_fills_missing_with_zero():
     # lists normalize the same way: a missing list is empty, and a list
     # keyed by an undeclared id is dropped
     inst = SmfqInstance(["a1", "a2"], ["p1"], {"a1": ["p1"], "zz": ["p1"]}, {"p1": ["a1"]})
-    assert inst.agent_pref == {"a1": ["p1"], "a2": []}
+    assert inst.agent_pref == {"a1": ("p1",), "a2": ()}
     assert inst.arank["a2"] == {}
     with pytest.raises(EmptyAgentList, match="agent a2"):
         validate(inst)
@@ -276,8 +285,62 @@ def test_a_parsed_instance_carries_both_rank_tables():
         assert parsed.prank == _enumerated(parsed.program_pref)
 
 
-_ONE = {"agents": ["a1"], "programs": ["p1"], "agent_pref": {"a1": ["p1"]},
-        "program_pref": {"p1": ["a1"]}, "cost": {"p1": 2}}
+def _fig1_cost_lists():
+    """Fig. 1's cost market as fresh lists and dicts a caller holds on to."""
+    agents, programs = ["a1", "a2", "a3", "a4", "a5"], ["p1", "p2"]
+    agent_pref = {"a1": ["p1", "p2"], "a2": ["p2", "p1"], "a3": ["p2", "p1"],
+                  "a4": ["p2", "p1"], "a5": ["p2"]}
+    program_pref = {"p1": ["a2", "a4", "a1", "a3"], "p2": ["a1", "a2", "a5", "a3", "a4"]}
+    return agents, programs, agent_pref, program_pref, {"p1": 1, "p2": 2}
+
+
+def test_a_caller_editing_its_own_lists_leaves_the_instance_unchanged():
+    agents, programs, agent_pref, program_pref, cost = _fig1_cost_lists()
+    inst = SmfqInstance(agents, programs, agent_pref, program_pref, cost)
+    assert solve_minsum_exact(inst).objective == 7  # builds and keeps both rank tables
+    agent_pref["a1"].reverse()
+    assert solve_minsum_exact(inst).objective == 7
+    program_pref["p2"].pop()
+    agents.append("a6")
+    assert solve_minsum_exact(inst).objective == 7
+    assert inst == SmfqInstance(*_fig1_cost_lists())
+
+
+def test_an_instance_list_cannot_be_edited_in_place():
+    inst = SmfqInstance(*_fig1_cost_lists())
+    with pytest.raises(AttributeError):
+        inst.agent_pref["a1"].reverse()
+    with pytest.raises(TypeError):
+        inst.program_pref["p1"][0] = "a5"
+    with pytest.raises(AttributeError):
+        inst.agents.append("a6")
+
+
+def _holds_tuples(inst: SmfqInstance) -> bool:
+    lists = [inst.agents, inst.programs, *inst.agent_pref.values(), *inst.program_pref.values()]
+    return all(type(lst) is tuple for lst in lists)
+
+
+def test_every_instance_the_package_builds_holds_tuples():
+    sparse = SmfqInstance(["a1", "a2"], ["p1"], {"a1": ["p1"]}, {"p1": ["a1"]})
+    assert sparse.agent_pref["a2"] == ()  # a missing list
+    g, _ = gen_fig1()
+    ctx = compute_extendable(g, gale_shapley_a_optimal(g))
+    assert ctx.a_u_matchable  # the restricted market is not empty
+    built = [
+        sparse, *_fresh_instances(),
+        gen_fig2(4), gen_example1(), gen_example2(),
+        reduce_vertex_cover(GraphInstance(vertices=["u", "v"], edges=[("u", "v")])),
+        gen_master_list(40, 8, 3, 9, 1), bench_instance(0), bench_hr_instance(0),
+        _restricted_market(ctx, g.cost),
+        *(parse_instance(serialize_instance(inst)) for inst in (tiny(), *gen_fig1())),
+    ]
+    for inst in built:
+        assert _holds_tuples(inst), inst
+
+
+_ONE = {"agents": ("a1",), "programs": ("p1",), "agent_pref": {"a1": ("p1",)},
+        "program_pref": {"p1": ("a1",)}, "cost": {"p1": 2}}
 _HR_ONE = HrInstance(**_ONE, quota={"p1": 1})
 
 
