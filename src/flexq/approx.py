@@ -14,7 +14,7 @@ All three stay within a provable factor of the optimum:
 from __future__ import annotations
 
 from .minmax import solve_minmax
-from .model import Matching, SmfqInstance, SolveReport, total_cost
+from .model import Matching, SmfqInstance, SolveReport, total_cost, validate
 
 
 def min_cost_program(instance: SmfqInstance, agent: str) -> str:
@@ -29,11 +29,13 @@ def min_cost_program(instance: SmfqInstance, agent: str) -> str:
 
 
 def _p_star(instance: SmfqInstance) -> dict[str, str]:
+    validate(instance)  # it reads lists and costs before any rank table
     return {a: min_cost_program(instance, a) for a in instance.agents}
 
 
 def lower_bound_sum(instance: SmfqInstance) -> int:
     """Sum of each agent's cheapest list entry: no full matching spends less."""
+    validate(instance)
     return sum(instance.cost[min_cost_program(instance, a)] for a in instance.agents)
 
 

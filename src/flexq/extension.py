@@ -29,7 +29,6 @@ from .model import (
     SmfqInstance,
     SolveReport,
     is_hr_stable,
-    validate,
 )
 from .hr import unmatched_agents
 
@@ -95,7 +94,8 @@ def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInsta
 
     Each program lists the agents whose graph edges reach it, in its round-one
     order.  Its first program in round-one order without a price raises
-    :class:`ValidationError`."""
+    :class:`ValidationError`; the round-two solver validates the market, so a
+    bad price raises :class:`NegativeCost` there."""
     adj, prank = ctx.g_m, ctx.round1.prank
     agents = ctx.a_u_matchable
     takers: dict[str, list[str]] = {}  # each program's agents in the graph
@@ -107,10 +107,8 @@ def _restricted_market(ctx: ExtensionContext, cost: dict[str, int]) -> SmfqInsta
         if p not in cost:
             raise ValidationError(f"missing round-two cost for program {clipped(p)}")
     # the constructor keeps only the matchable agents' lists and these programs' costs
-    inst = SmfqInstance(agents, programs, adj,
+    return SmfqInstance(agents, programs, adj,
                         {p: sorted(takers[p], key=prank[p].__getitem__) for p in programs}, cost)
-    validate(inst)
-    return inst
 
 
 def largest_extension(ctx: ExtensionContext) -> Matching:
@@ -142,8 +140,8 @@ def min_cost_extension(ctx: ExtensionContext, prices: dict[str, int],
 
     ``prices`` gives each program its price for the second round.  Every program
     left in the extension graph needs a price: the restricted market raises
-    :class:`ValidationError` at the first one missing and its validation
-    :class:`NegativeCost` at the first bad one.
+    :class:`ValidationError` at the first one missing, and the solver,
+    validating that market, :class:`NegativeCost` at the first bad one.
     ``budget`` goes to the exact total-spend solver, which raises
     :class:`BudgetExceeded` once its ``nodes`` stat would pass it; a negative
     budget raises ValueError even with nothing to place.

@@ -18,7 +18,7 @@ out.
 from __future__ import annotations
 
 from .hr import deferred_acceptance_state, gale_shapley_a_optimal, resume_with_fewer_seats
-from .model import SmfqInstance, SolveReport, is_a_perfect, max_cost
+from .model import SmfqInstance, SolveReport, is_a_perfect, max_cost, validate
 
 
 def build_quota_instance(instance: SmfqInstance, t: int) -> dict[str, int]:
@@ -53,6 +53,7 @@ def solve_minmax(instance: SmfqInstance) -> SolveReport:
     entries passed over all deferred-acceptance steps, counting the first
     run with |agents| seats everywhere).
     """
+    validate(instance)  # the seat maps read costs before any rank table
     # every agent at its top choice; its matching is the outcome at t_top,
     # the smallest threshold known feasible
     state = deferred_acceptance_state(instance, build_quota_instance(

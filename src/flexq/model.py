@@ -28,18 +28,11 @@ from .errors import (
 )
 
 
-class _RankTable:
-    """A rank table built on first read and then kept as a plain attribute.
-
-    The built table is stored with ``setattr``; this descriptor defines no
-    ``__set__``, so later reads find the instance attribute and never call it.
-    ``functools.cached_property`` does the same through ``instance.__dict__``
-    and, before Python 3.12, a lock; on the small-market benchmark's requests
-    that was slower than building both tables eagerly, and this is not.
-    """
-
-    def __init__(self, build):
-        self.build = build
+class _Unvalidated:
+    """A rank table before validation: its first read runs :func:`validate`,
+    which stores both tables on the instance, where later reads find them, as
+    this defines no ``__set__``.  (A ``__getattr__`` hook would do the same but
+    makes every attribute read on the instance slower on Python 3.11.)"""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -47,9 +40,8 @@ class _RankTable:
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        table = self.build(instance)
-        setattr(instance, self.name, table)
-        return table
+        validate(instance)
+        return vars(instance)[self.name]
 
 
 class Record:
@@ -85,11 +77,12 @@ class SmfqInstance(Record):
     change after construction; only rebinding a dict entry still can, and
     is left to convention.  The rank tables ``arank[a][p]`` and
     ``prank[p][a]`` give a name's position on the other side's list (0 =
-    most preferred; absent = not listed).  Each is built from the normalized
-    lists on first read and kept on the instance; :func:`validate` reads
-    both, while generating, serializing and building a copy with the
-    constructor read neither, so they build none.  Equality and ``repr``
-    ignore them.
+    most preferred; absent = not listed).  Only :func:`validate` builds
+    them, and it keeps them on the instance once every check passes; the
+    first read of either calls it, so an invalid instance raises its
+    :class:`ValidationError` subclass there and never holds a table.
+    Generating, serializing and building a copy with the constructor read
+    neither.  Equality and ``repr`` ignore them.
     """
 
     _fields = ("agents", "programs", "agent_pref", "program_pref", "cost")
@@ -103,13 +96,8 @@ class SmfqInstance(Record):
         self.program_pref = {p: tuple(program_pref.get(p, ())) for p in programs}
         self.cost = {p: cost.get(p, 0) for p in programs}
 
-    @_RankTable
-    def arank(self) -> dict[str, dict[str, int]]:
-        return {a: {p: i for i, p in enumerate(lst)} for a, lst in self.agent_pref.items()}
-
-    @_RankTable
-    def prank(self) -> dict[str, dict[str, int]]:
-        return {p: {a: i for i, a in enumerate(lst)} for p, lst in self.program_pref.items()}
+    arank = _Unvalidated()
+    prank = _Unvalidated()
 
     def is_acceptable(self, agent: str, program: str) -> bool:
         return program in self.arank.get(agent, ())
@@ -191,20 +179,27 @@ class StabilityCheck(Record):
 
 
 def validate(instance: SmfqInstance) -> None:
-    """Check every structural invariant, raising on the first violation found.
+    """Check every structural invariant, raising on the first violation found,
+    then keep the rank tables ``arank`` and ``prank`` on the instance.
 
     Checks run in a fixed order (mutual acceptability, strictness, non-empty
     agent lists, costs, then quotas for the quota variant) and the error
     message names the offending identifier.  The program side of the mutual
     check is scanned only when its rank tables hold a different number of
-    edges from the agent side's.  Returns None when well formed.
+    edges from the agent side's.  The tables are stored only once every
+    check passes, so an instance holding them is valid and is not checked
+    again: each instance object is validated once.
     """
-    if len(set(instance.agents)) != len(instance.agents):
+    if "arank" in vars(instance):
+        return
+    # the constructor keys the lists by id, so a repeated id leaves fewer lists than ids
+    if len(instance.agent_pref) != len(instance.agents):
         raise DuplicateInList("instance declares a duplicate agent identifier")
-    if len(set(instance.programs)) != len(instance.programs):
+    if len(instance.program_pref) != len(instance.programs):
         raise DuplicateInList("instance declares a duplicate program identifier")
 
-    arank, prank = instance.arank, instance.prank
+    arank = {a: {p: i for i, p in enumerate(lst)} for a, lst in instance.agent_pref.items()}
+    prank = {p: {a: i for i, a in enumerate(lst)} for p, lst in instance.program_pref.items()}
     # a list may name an undeclared id, which has no rank table
     for a, lst in instance.agent_pref.items():
         for p in lst:
@@ -241,6 +236,8 @@ def validate(instance: SmfqInstance) -> None:
             q = instance.quota[p]
             if isinstance(q, bool) or not isinstance(q, int) or q < 1:
                 raise ZeroQuota(f"program {clipped(p)} has quota {shown(q)}; quotas must be positive integers")
+
+    instance.arank, instance.prank = arank, prank
 
 
 def _check_assigned_acceptable(instance: SmfqInstance, matching: Matching) -> None:

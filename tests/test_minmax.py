@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from flexq import (
+    EmptyAgentList,
     SmfqInstance,
     bench_instance,
     build_quota_instance,
@@ -106,7 +107,11 @@ def test_seat_maps_agree_with_rebuilt_threshold_markets():
         for t in range(len(inst.agents) * max(inst.cost.values()) + 1):
             got = gale_shapley_a_optimal(inst, quota=build_quota_instance(inst, t)).assignment
             market = helpers.threshold_market(inst, t)
-            assert got == gale_shapley_a_optimal(market).assignment, (seed, t)
+            if all(market.agent_pref.values()):
+                assert got == gale_shapley_a_optimal(market).assignment, (seed, t)
+            else:  # a priced-out agent list leaves a market the package refuses
+                with pytest.raises(EmptyAgentList):
+                    gale_shapley_a_optimal(market)
             assert got == helpers.deferred_acceptance_naive(market), (seed, t)
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,9 @@ from flexq import (
     SmfqInstance,
     SolveReport,
     ZeroQuota,
+    approx_promote,
+    approx_restrict,
+    approx_via_minmax,
     bench_hr_instance,
     bench_instance,
     compute_extendable,
@@ -37,11 +42,16 @@ from flexq import (
     is_a_perfect,
     is_envy_free,
     is_hr_stable,
+    lower_bound_sum,
     max_cost,
+    oracle_minmax,
+    oracle_minsum,
+    oracle_optima,
     parse_instance,
     reduce_set_cover,
     reduce_vertex_cover,
     serialize_instance,
+    solve_minmax,
     solve_minsum_exact,
     total_cost,
     validate,
@@ -72,7 +82,8 @@ def test_cost_normalization_fills_missing_with_zero():
     # keyed by an undeclared id is dropped
     inst = SmfqInstance(["a1", "a2"], ["p1"], {"a1": ["p1"], "zz": ["p1"]}, {"p1": ["a1"]})
     assert inst.agent_pref == {"a1": ("p1",), "a2": ()}
-    assert inst.arank["a2"] == {}
+    with pytest.raises(EmptyAgentList, match="agent a2"):
+        inst.arank
     with pytest.raises(EmptyAgentList, match="agent a2"):
         validate(inst)
 
@@ -283,6 +294,125 @@ def test_a_parsed_instance_carries_both_rank_tables():
         assert "arank" in vars(parsed) and "prank" in vars(parsed)
         assert parsed.arank == _enumerated(parsed.agent_pref)
         assert parsed.prank == _enumerated(parsed.program_pref)
+
+
+def test_an_instance_survives_pickle_and_deepcopy():
+    for validated in (False, True):
+        _, h = gen_fig1()
+        if validated:
+            validate(h)
+        for twin in (pickle.loads(pickle.dumps(h)), deepcopy(h)):
+            assert twin == h and twin is not h
+            assert ("arank" in vars(twin)) is validated
+            assert solve_minsum_exact(twin).objective == 7
+
+
+def test_an_invalid_instance_never_holds_a_rank_table():
+    inst = SmfqInstance(["a1", "a2"], ["p1"], {"a1": ["p1"], "a2": []}, {"p1": ["a1"]}, {"p1": 1})
+    for read in ("arank", "arank", "prank"):  # a failed read stores nothing, so it fails again
+        with pytest.raises(EmptyAgentList, match="agent a2"):
+            getattr(inst, read)
+        assert "arank" not in vars(inst) and "prank" not in vars(inst)
+
+
+def test_an_unknown_attribute_raises_attribute_error_naming_it():
+    inst = tiny()
+    with pytest.raises(AttributeError, match="'SmfqInstance' object has no attribute 'quota'"):
+        inst.quota
+    assert getattr(inst, "arank_", None) is None
+    assert "arank" not in vars(inst)  # no other name validates
+
+
+# ---------------------------------------------------------------------------
+# every solver refuses an invalid instance
+
+
+_SOLVERS = [solve_minsum_exact, solve_minmax, approx_promote, approx_restrict, approx_via_minmax,
+            lower_bound_sum, oracle_optima, oracle_minsum, oracle_minmax]
+_PAIR = {"a1": ["p1", "p2"], "a2": ["p2", "p1"]}, {"p1": ["a1", "a2"], "p2": ["a2", "a1"]}
+_INVALID = {
+    "empty-list": (SmfqInstance(["a1", "a2"], ["p1"], {"a1": ["p1"], "a2": []}, {"p1": ["a1"]},
+                                {"p1": 1}), EmptyAgentList),
+    "non-mutual": (SmfqInstance(["a1", "a2"], ["p1"], {"a1": ["p1"], "a2": ["p1"]}, {"p1": ["a1"]},
+                                {"p1": 1}), NonMutualEdge),
+    "undeclared": (SmfqInstance(["a1", "a2"], ["p1"], {"a1": ["p1"], "a2": ["p1", "p9"]},
+                                {"p1": ["a1", "a2"]}, {"p1": 1}), NonMutualEdge),
+    "cost-minus-1": (SmfqInstance(["a1", "a2"], ["p1", "p2"], *_PAIR, {"p1": 1, "p2": -1}), NegativeCost),
+    "cost-str": (SmfqInstance(["a1", "a2"], ["p1", "p2"], *_PAIR, {"p1": 1, "p2": "x"}), NegativeCost),
+}
+
+
+@pytest.mark.parametrize("solver", _SOLVERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", list(_INVALID))
+def test_every_solver_refuses_an_invalid_instance(case, solver):
+    inst, error = _INVALID[case]
+    with pytest.raises(error):
+        solver(inst)
+    assert "arank" not in vars(inst) and "prank" not in vars(inst)
+
+
+def _extend_from_nobody(inst: HrInstance):
+    return compute_extendable(inst, Matching())
+
+
+@pytest.mark.parametrize("solver", [gale_shapley_a_optimal, _extend_from_nobody],
+                         ids=["gale_shapley_a_optimal", "compute_extendable"])
+@pytest.mark.parametrize("inst, error", [
+    (HrInstance(["a1"], ["p1"], {"a1": ["p1"]}, {"p1": ["a1"]}, quota={"p1": 0}), ZeroQuota),
+    (HrInstance(["a1", "a2"], ["p1"], {"a1": ["p1"], "a2": []}, {"p1": ["a1"]}, quota={"p1": 1}),
+     EmptyAgentList),
+], ids=["zero-quota", "empty-list"])
+def test_round_one_refuses_an_invalid_quota_market(inst, error, solver):
+    with pytest.raises(error):
+        solver(inst)
+
+
+def _corrupt(inst: SmfqInstance, how: str, rng: random.Random) -> tuple[SmfqInstance, type]:
+    """A copy of ``inst`` with one corruption, and the error validation raises for it."""
+    agent_pref = {a: list(lst) for a, lst in inst.agent_pref.items()}
+    program_pref = {p: list(lst) for p, lst in inst.program_pref.items()}
+    cost = dict(inst.cost)
+    if how == "drop-program-entry":
+        lst = program_pref[rng.choice([p for p, lst in program_pref.items() if lst])]
+        del lst[rng.randrange(len(lst))]
+        error = NonMutualEdge
+    elif how == "repeat-entry":
+        side = rng.choice((agent_pref, program_pref))
+        lst = side[rng.choice([k for k, lst in side.items() if lst])]
+        lst.insert(rng.randrange(len(lst) + 1), rng.choice(lst))
+        error = DuplicateInList
+    elif how == "empty-agent-list":  # and unlisted on the program side, so edges stay mutual
+        a = rng.choice(inst.agents)
+        agent_pref[a] = []
+        program_pref = {p: [b for b in lst if b != a] for p, lst in program_pref.items()}
+        error = EmptyAgentList
+    else:
+        cost[rng.choice(inst.programs)] = rng.choice((-1, "x", 2.5))
+        error = NegativeCost
+    extra = {"quota": inst.quota} if isinstance(inst, HrInstance) else {}
+    return type(inst)(inst.agents, inst.programs, agent_pref, program_pref, cost, **extra), error
+
+
+@given(st.integers(min_value=0, max_value=2000),
+       st.sampled_from(["drop-program-entry", "repeat-entry", "empty-agent-list", "bad-cost"]))
+@settings(max_examples=60, deadline=None)
+def test_every_solver_refuses_a_corrupted_random_market(seed, how):
+    rng = random.Random(seed)
+    n_programs = rng.randint(1, 5)
+    shape = (rng.randint(1, 6), n_programs, rng.randint(1, min(4, n_programs)), rng.randint(0, 9))
+    market_seed = rng.randrange(1 << 30)
+    bad, error = _corrupt(gen_random(*shape, market_seed), how, random.Random(seed))
+    for solver in _SOLVERS:
+        with pytest.raises(error):
+            solver(bad)
+    # the quota twin: same lists and costs, the same corruption
+    hr = gen_random_hr(*shape, rng.randint(1, 3), market_seed)
+    m1 = gale_shapley_a_optimal(hr)
+    bad_hr, _ = _corrupt(hr, how, random.Random(seed))
+    with pytest.raises(error):
+        gale_shapley_a_optimal(bad_hr)
+    with pytest.raises(error):
+        compute_extendable(bad_hr, m1)
 
 
 def _fig1_cost_lists():
